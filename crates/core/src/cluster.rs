@@ -48,7 +48,6 @@ use crate::policy::SentinelPolicy;
 use sentinel_dnn::{Executor, Graph, MemoryManager, TensorId, TrainReport};
 use sentinel_mem::{
     pages_for_bytes, FaultCounters, FaultInjector, FaultProfile, HmConfig, MemorySystem, Ns, Tier,
-    TimeMode,
 };
 use sentinel_util::{Json, ToJson};
 
@@ -91,8 +90,6 @@ pub struct ClusterConfig {
     /// of the active tenants (`false` gives every tenant the full
     /// channels, as if migration bandwidth were not contended).
     pub lane_shares: bool,
-    /// Memory-system clock mode for every tenant.
-    pub time_mode: TimeMode,
 }
 
 impl ClusterConfig {
@@ -106,7 +103,6 @@ impl ClusterConfig {
             quota: QuotaPolicy::WeightedMaxMin,
             min_quota_frac: 0.1,
             lane_shares: true,
-            time_mode: TimeMode::default(),
         }
     }
 
@@ -781,7 +777,6 @@ impl<'a, 'g> Run<'a, 'g> {
     fn admit(&mut self, now: Ns, job: usize, quota: u64) -> Result<(), SentinelError> {
         let spec = &self.jobs[job];
         let mut mem = MemorySystem::new(self.cfg.hm.clone());
-        mem.set_time_mode(self.cfg.time_mode);
         if let Some((profile, seed)) = &spec.fault {
             mem.set_fault_injector(FaultInjector::new(*profile, *seed));
         }

@@ -62,14 +62,6 @@ pub struct SentinelConfig {
     /// GPU mode: pinned-memory profiling with a one-time two-copy
     /// synchronization cost, and Case 3 forced to [`Case3Policy::AlwaysWait`].
     pub gpu: bool,
-    /// Precompute every interval's working set (including the hot-first
-    /// prefetch ordering) into a flattened table at plan time, so the
-    /// steady-state boundary path reads slices instead of re-running
-    /// alloc + sort + dedup range queries. Off = the per-call reference
-    /// path; both produce byte-identical runs (enforced by
-    /// `tests/planner_equivalence_prop.rs`). Excluded from the JSON
-    /// serialization: a performance switch, not a semantic knob.
-    pub interval_set_table: bool,
     /// Drift-adaptive control loop (`crate::adapt`): online drift
     /// detection, incremental re-profiling and plan re-solve. `None`
     /// (the default) runs the static policy byte-identically to builds
@@ -97,7 +89,6 @@ impl Default for SentinelConfig {
             case3: Case3Policy::TestAndTrial,
             hot_first: true,
             gpu: false,
-            interval_set_table: true,
             adaptive: None,
             retry: None,
         }
@@ -139,14 +130,6 @@ impl SentinelConfig {
     #[must_use]
     pub fn with_mil(mut self, mil: usize) -> Self {
         self.mil_override = Some(mil.max(1));
-        self
-    }
-
-    /// Toggle the plan-time interval-set table (on by default); off runs
-    /// the per-boundary reference queries instead.
-    #[must_use]
-    pub fn with_interval_set_table(mut self, on: bool) -> Self {
-        self.interval_set_table = on;
         self
     }
 

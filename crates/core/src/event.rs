@@ -21,10 +21,9 @@
 //! The `MigrationReady < IntervalBoundary` tie-break is the executable form
 //! of the `ready_at <= now` boundary convention: a migration landing exactly
 //! on an interval boundary belongs to the *closing* interval, so the
-//! boundary observes it as already resident (paper Case 1), identically in
-//! the event-driven and per-step paths. Within one kind at one instant,
-//! scheduling order (`seq`) decides — first scheduled, first fired — so
-//! replays are bitwise reproducible.
+//! boundary observes it as already resident (paper Case 1). Within one kind
+//! at one instant, scheduling order (`seq`) decides — first scheduled,
+//! first fired — so replays are bitwise reproducible.
 
 use sentinel_mem::Ns;
 use std::cmp::Reverse;

@@ -16,8 +16,8 @@
 //!   [`solve_mil_reference`], pinned byte-identical by the
 //!   planner-equivalence suite).
 //! * [`Schedule`] — the static per-layer access index the migration engine
-//!   plans against, stored as flattened CSR arrays with an optional
-//!   plan-time per-interval working-set table ([`IntervalSets`]).
+//!   plans against, stored as flattened CSR arrays, and the plan-time
+//!   per-interval working-set table ([`IntervalSets`]).
 //! * [`SentinelConfig`] — feature switches, including the Figure 13
 //!   ablations ([`Ablation`]) and the GPU variant (Section V).
 //! * [`SentinelRuntime`] — one-call orchestration: profile, reorganize,

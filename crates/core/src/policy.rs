@@ -132,8 +132,8 @@ pub struct SentinelPolicy {
     profile: Option<ProfileReport>,
     reorg: Option<ReorgPlan>,
     plan: Option<IntervalPlan>,
-    /// Plan-time per-interval working-set table (None when
-    /// `cfg.interval_set_table` is off — the per-boundary reference path).
+    /// Plan-time per-interval working-set table, built and swapped
+    /// together with `plan`.
     interval_sets: Option<IntervalSets>,
     mil_solution: Option<MilSolution>,
     reserve_pages: u64,
@@ -270,35 +270,16 @@ impl SentinelPolicy {
     /// Prefetch the long-lived tensors interval `k` (cyclic) will use,
     /// hottest first, within the fast-memory budget.
     fn prefetch_for_interval(&mut self, k: usize, ctx: &mut ExecCtx<'_>) {
-        let (Some(plan), Some(schedule), Some(profile)) =
-            (self.plan.as_ref(), self.schedule.as_ref(), self.profile.as_ref())
-        else {
+        let (Some(plan), Some(sets)) = (self.plan.as_ref(), self.interval_sets.as_ref()) else {
             return;
         };
         let k = k % plan.num_intervals();
         let (s, e) = (plan.start_layer(k), plan.end_layer(k));
-        // Working set in migration order: a precomputed slice when the
-        // interval-set table is on (hot-first ordering baked in at plan
-        // time; the live/slow-resident filter moves into the loop, which is
-        // equivalent because migrating one tensor never changes another's
-        // liveness or slow-tier residency), the allocating reference query
-        // otherwise.
-        let filtered: Vec<TensorId>;
-        let tensors: &[TensorId] = match self.interval_sets.as_ref() {
-            Some(sets) => sets.prefetch_order(k),
-            None => {
-                let mut v: Vec<TensorId> = schedule
-                    .long_tensors_in(s, e)
-                    .into_iter()
-                    .filter(|&t| ctx.is_live(t) && ctx.tensor_bytes_in(t, Tier::Slow) > 0)
-                    .collect();
-                if self.cfg.hot_first {
-                    v.sort_by_key(|&t| std::cmp::Reverse(profile.tensor(t).mm_accesses));
-                }
-                filtered = v;
-                &filtered
-            }
-        };
+        // Working set in migration order, hot-first ordering baked in at
+        // plan time. The live/slow-resident filter runs inside the loop,
+        // which is equivalent to filtering first because migrating one
+        // tensor never changes another's liveness or slow-tier residency.
+        let tensors = sets.prefetch_order(k);
         let demand_only = self.adapt.as_ref().map(|a| &a.demand_only);
         let page_size = ctx.mem().page_size();
         let mut budget = self.free_for_long_pages(ctx);
@@ -364,7 +345,7 @@ impl SentinelPolicy {
     /// and fired in `(at, kind, seq)` order. The MigrationReady-before-
     /// IntervalBoundary tie-break is the executable `ready_at <= now`
     /// convention: a copy landing exactly on the boundary is observed by it
-    /// (Case 1), identically in the event-driven and per-step time modes.
+    /// (Case 1).
     fn handle_case3(&mut self, k: usize, ctx: &mut ExecCtx<'_>) {
         let now = ctx.now();
         let ready = ctx.mem().channel_free_at(Tier::Fast);
@@ -562,15 +543,11 @@ impl SentinelPolicy {
     /// job. Empty before the profiling step finishes (no plan exists yet).
     #[must_use]
     pub fn interval_working_set(&self, layer: usize) -> Vec<TensorId> {
-        let (Some(plan), Some(schedule)) = (self.plan.as_ref(), self.schedule.as_ref()) else {
+        let (Some(plan), Some(sets)) = (self.plan.as_ref(), self.interval_sets.as_ref()) else {
             return Vec::new();
         };
         // `interval_of` clamps out-of-range layers to the last interval.
-        let k = plan.interval_of(layer);
-        match self.interval_sets.as_ref() {
-            Some(sets) => sets.sorted(k).to_vec(),
-            None => schedule.long_tensors_in(plan.start_layer(k), plan.end_layer(k)),
-        }
+        sets.sorted(plan.interval_of(layer)).to_vec()
     }
 
     /// Demote *cold* fast-resident long-lived tensors — farthest next use
@@ -793,12 +770,10 @@ impl SentinelPolicy {
         };
         let mil = self.cfg.mil_override.unwrap_or(solution.mil).min(graph.num_layers().max(1));
         let plan = IntervalPlan::new(mil.max(1), graph.num_layers().max(1));
-        if self.cfg.interval_set_table {
-            // One pass over the chosen plan: every boundary of every managed
-            // step reads these slices instead of re-querying the schedule.
-            let hot = self.cfg.hot_first.then_some(&profile);
-            self.interval_sets = Some(IntervalSets::build(&schedule, &plan, hot));
-        }
+        // One pass over the chosen plan: every boundary of every managed
+        // step reads these slices instead of re-querying the schedule.
+        let hot = self.cfg.hot_first.then_some(&profile);
+        self.interval_sets = Some(IntervalSets::build(&schedule, &plan, hot));
         self.plan = Some(plan);
         self.stats.mil = mil.max(1);
         self.stats.reserve_pages = self.reserve_pages;
@@ -984,20 +959,18 @@ impl SentinelPolicy {
                 let mil =
                     self.cfg.mil_override.unwrap_or(solution.mil).min(graph.num_layers().max(1)).max(1);
                 let plan = IntervalPlan::new(mil, graph.num_layers().max(1));
-                let mut sets = None;
-                if self.cfg.interval_set_table {
-                    if let (Some(schedule), Some(profile)) =
-                        (self.schedule.as_ref(), self.profile.as_ref())
-                    {
-                        let hot = self.cfg.hot_first.then_some(profile);
-                        sets = Some(IntervalSets::build(schedule, &plan, hot));
-                    }
-                }
+                let (Some(schedule), Some(profile)) =
+                    (self.schedule.as_ref(), self.profile.as_ref())
+                else {
+                    unreachable!("a solved plan implies a finished profiling step");
+                };
+                let hot = self.cfg.hot_first.then_some(profile);
+                let sets = IntervalSets::build(schedule, &plan, hot);
                 // Reconcile in-flight work queued for the outgoing plan.
                 let now = ctx.now();
                 ctx.mem_mut().cancel_pending_migrations(now);
                 self.plan = Some(plan);
-                self.interval_sets = sets;
+                self.interval_sets = Some(sets);
                 self.stats.mil = mil;
                 self.mil_solution = Some(solution);
                 self.case3_states.clear();
@@ -1320,7 +1293,10 @@ impl MemoryManager for SentinelPolicy {
                         }
                     }
                 }
-                let Some(plan) = self.plan.as_ref() else { return };
+                let (Some(plan), Some(sets)) = (self.plan.as_ref(), self.interval_sets.as_ref())
+                else {
+                    return;
+                };
                 let k = plan.interval_of(layer);
                 let window = if self.cfg.lookahead { k + 2 } else { k + 1 };
                 let boundary = window * plan.mil;
@@ -1329,26 +1305,12 @@ impl MemoryManager for SentinelPolicy {
                 // interval's demand, moving tensors out only wastes
                 // bandwidth.
                 let next = (k + 1) % plan.num_intervals();
-                // Same set either way; the table path just skips the
-                // alloc + sort + dedup range query at every layer boundary.
-                let demand: u64 = if let Some(sets) = self.interval_sets.as_ref() {
-                    sets.sorted(next)
-                        .iter()
-                        .filter(|&&t| ctx.is_live(t))
-                        .map(|&t| ctx.tensor_bytes_in(t, Tier::Slow))
-                        .sum()
-                } else {
-                    self.schedule
-                        .as_ref()
-                        .map(|sch| {
-                            sch.long_tensors_in(plan.start_layer(next), plan.end_layer(next))
-                                .iter()
-                                .filter(|&&t| ctx.is_live(t))
-                                .map(|&t| ctx.tensor_bytes_in(t, Tier::Slow))
-                                .sum()
-                        })
-                        .unwrap_or(u64::MAX)
-                };
+                let demand: u64 = sets
+                    .sorted(next)
+                    .iter()
+                    .filter(|&&t| ctx.is_live(t))
+                    .map(|&t| ctx.tensor_bytes_in(t, Tier::Slow))
+                    .sum();
                 let free_bytes = self.free_for_long_pages(ctx) * ctx.mem().page_size();
                 if free_bytes < demand {
                     self.evict_after_layer(layer, boundary, ctx);

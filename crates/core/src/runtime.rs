@@ -7,8 +7,8 @@ use crate::interval::MilSolution;
 use crate::policy::{SentinelPolicy, SentinelStats};
 use sentinel_dnn::{Executor, Graph, MemoryManager, StepReport, TrainReport};
 use sentinel_mem::{
-    FaultCounters, FaultInjector, FaultProfile, HmConfig, MemorySystem, SanitizerMode, TimeMode,
-    Trace, TraceEvent, TraceHandle, TraceLevel,
+    FaultCounters, FaultInjector, FaultProfile, HmConfig, MemorySystem, SanitizerMode, Trace,
+    TraceEvent, TraceHandle, TraceLevel,
 };
 use sentinel_profiler::ProfileReport;
 
@@ -95,7 +95,6 @@ pub struct SentinelRuntime {
     fault: Option<(FaultProfile, u64)>,
     sanitizer: Option<SanitizerMode>,
     trace: TraceLevel,
-    time_mode: TimeMode,
 }
 
 impl SentinelRuntime {
@@ -108,7 +107,6 @@ impl SentinelRuntime {
             fault: None,
             sanitizer: None,
             trace: TraceLevel::Off,
-            time_mode: TimeMode::default(),
         }
     }
 
@@ -136,16 +134,6 @@ impl SentinelRuntime {
     #[must_use]
     pub fn with_trace(mut self, level: TraceLevel) -> Self {
         self.trace = level;
-        self
-    }
-
-    /// Select the memory system's [`TimeMode`] for every run: the default
-    /// event-driven clock, or the preserved per-step reference path. Both
-    /// are byte-identical (the equivalence suite pins this); the reference
-    /// exists to keep that claim testable.
-    #[must_use]
-    pub fn with_time_mode(mut self, mode: TimeMode) -> Self {
-        self.time_mode = mode;
         self
     }
 
@@ -196,7 +184,6 @@ impl SentinelRuntime {
         F: FnMut(RunEvent<'_>) -> bool,
     {
         let mut mem = MemorySystem::new(self.hm.clone());
-        mem.set_time_mode(self.time_mode);
         if let Some(retry) = self.cfg.retry {
             mem.set_retry_policy(retry);
         }

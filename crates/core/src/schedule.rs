@@ -171,8 +171,7 @@ pub struct IntervalSets {
 impl IntervalSets {
     /// Precompute the working set of every interval in `plan`. Passing a
     /// profile as `hot` orders the prefetch arena hottest-first by
-    /// `mm_accesses` (a stable sort, so the ascending-id order breaks ties —
-    /// exactly the order the per-boundary reference path produces).
+    /// `mm_accesses` (a stable sort, so the ascending-id order breaks ties).
     #[must_use]
     pub fn build(schedule: &Schedule, plan: &IntervalPlan, hot: Option<&ProfileReport>) -> Self {
         let n = plan.num_intervals();
@@ -284,20 +283,5 @@ mod tests {
         // After layer 2, w is next used at layer 0 of the next step.
         assert_eq!(s.next_use_cyclic(TensorId(0), 3), Some(3));
         assert_eq!(s.next_use_cyclic(TensorId(2), 1), Some(0 + 3));
-    }
-
-    #[test]
-    fn interval_sets_match_the_range_query() {
-        let g = graph();
-        let s = Schedule::new(&g);
-        let plan = IntervalPlan::new(2, 3);
-        let sets = IntervalSets::build(&s, &plan, None);
-        assert_eq!(sets.num_intervals(), plan.num_intervals());
-        for k in 0..plan.num_intervals() {
-            let expect = s.long_tensors_in(plan.start_layer(k), plan.end_layer(k));
-            assert_eq!(sets.sorted(k), expect.as_slice());
-            // Without a profile the prefetch order is the sorted order.
-            assert_eq!(sets.prefetch_order(k), expect.as_slice());
-        }
     }
 }

@@ -8,12 +8,12 @@
 //! graph whose layer-2 compute time directly controls the gap between a
 //! prefetch's completion and the next boundary, locates the exact flop
 //! count where the two collide (the tie), proves the collision is exact
-//! from the trace, and pins the classification and the ledger row to the
-//! same outcome in both time modes on both sides of the tie.
+//! from the trace, and pins the classification and the ledger row on both
+//! sides of the tie.
 
 use sentinel_core::{Case3Policy, SentinelConfig, SentinelOutcome, SentinelRuntime};
 use sentinel_dnn::{Graph, GraphBuilder, IntervalRecord, OpKind, TensorKind};
-use sentinel_mem::{HmConfig, TimeMode, TraceLevel};
+use sentinel_mem::{HmConfig, TraceLevel};
 
 const PAGE: u64 = 4096;
 const WEIGHT_BYTES: u64 = 4 * PAGE;
@@ -41,14 +41,13 @@ fn tie_graph(flops: u64) -> Graph {
     b.finish().expect("valid graph")
 }
 
-fn train(flops: u64, mode: TimeMode) -> SentinelOutcome {
+fn train(flops: u64) -> SentinelOutcome {
     let g = tie_graph(flops);
     let mut cfg = SentinelConfig::default().with_mil(1);
     cfg.case3 = Case3Policy::AlwaysWait;
     cfg.reserve_short_lived = false;
     let hm = HmConfig::testing().with_fast_capacity(12 * PAGE);
     SentinelRuntime::new(cfg, hm)
-        .with_time_mode(mode)
         .with_trace(TraceLevel::Full)
         .train(&g, 5)
         .expect("tie graph trains")
@@ -66,11 +65,11 @@ fn tie_row(outcome: &SentinelOutcome) -> IntervalRecord {
 
 /// Whether the final step classifies the tie interval as Case 1.
 fn lands_in_time(flops: u64) -> bool {
-    tie_row(&train(flops, TimeMode::EventDriven)).case == 1
+    tie_row(&train(flops)).case == 1
 }
 
 #[test]
-fn exact_tie_is_case1_one_ns_earlier_is_case3_in_both_modes() {
+fn exact_tie_is_case1_one_ns_earlier_is_case3() {
     // Locate the smallest layer-1 flop count whose interval-2 prefetch
     // lands by the boundary. The classification gap closes by exactly
     // 1 ns per flop, so at the flip the completion and the boundary
@@ -88,13 +87,7 @@ fn exact_tie_is_case1_one_ns_earlier_is_case3_in_both_modes() {
     }
     let tie = hi; // smallest Case-1 flop count
     for (flops, expect_case) in [(tie, 1u8), (tie - 1, 3u8)] {
-        let event = train(flops, TimeMode::EventDriven);
-        let step = train(flops, TimeMode::PerStep);
-        // Both paths must agree bytewise, boundary tie included.
-        assert_eq!(event.report, step.report, "flops {flops}: reports diverged");
-        assert_eq!(event.stats, step.stats, "flops {flops}: stats diverged");
-        assert_eq!(event.trace, step.trace, "flops {flops}: traces diverged");
-        let row = tie_row(&event);
+        let row = tie_row(&train(flops));
         assert_eq!(row.case, expect_case, "flops {flops}: {row:?}");
         if expect_case == 3 {
             // AlwaysWait resolves Case 3 by stalling out the remaining gap.
@@ -108,7 +101,7 @@ fn exact_tie_is_case1_one_ns_earlier_is_case3_in_both_modes() {
 
     // Prove the Case-1 side really is the exact tie, not merely an early
     // completion: a promote lands at precisely the boundary instant.
-    let outcome = train(tie, TimeMode::EventDriven);
+    let outcome = train(tie);
     let row = tie_row(&outcome);
     let trace = outcome.trace.as_ref().expect("trace recorded");
     assert!(

@@ -1,7 +1,6 @@
-//! Equivalence contract of the near-linear planner path (PR 8).
+//! Equivalence contract of the near-linear planner path.
 //!
-//! Two independent fast paths must be *byte-identical* to their preserved
-//! references:
+//! Two fast paths must match the range queries they replace:
 //!
 //! * [`solve_mil`] — the per-candidate tensor sweep — against
 //!   [`solve_mil_reference`], the original per-interval range-query solver:
@@ -9,23 +8,21 @@
 //!   diagnostics included, across the model zoo × fast-memory fractions ×
 //!   short-lived reservations × bandwidths, plus identical typed errors on
 //!   the zero-budget side.
-//! * The plan-time interval-set table (`SentinelConfig::interval_set_table`)
-//!   against the per-boundary alloc+sort+dedup queries it replaces: every
-//!   observable of a full `SentinelRuntime::train` (step reports with the
-//!   interval ledger, Sentinel counters, solver diagnostics, fault counters,
-//!   tensor profile, structured trace) across models × fast fractions ×
-//!   fault profiles × config variants.
+//! * [`IntervalSets`], the plan-time working-set table the policy's
+//!   boundary path reads, against [`Schedule::long_tensors_in`]: every
+//!   interval's sorted set and hot-first prefetch order, for every model ×
+//!   every MIL × hot ordering on and off.
 
 use sentinel_core::{
-    fast_sized_for, solve_mil, solve_mil_reference, Case3Policy, Schedule, SentinelConfig,
-    SentinelError, SentinelOutcome, SentinelRuntime,
+    solve_mil, solve_mil_reference, IntervalPlan, IntervalSets, Schedule, SentinelError,
 };
 use sentinel_dnn::Graph;
-use sentinel_mem::{FaultProfile, HmConfig, TraceLevel};
+use sentinel_mem::HmConfig;
 use sentinel_models::{ModelSpec, ModelZoo};
 use sentinel_profiler::{ProfileReport, Profiler};
 use sentinel_util::prop::PropConfig;
 use sentinel_util::{prop_assert, prop_assert_eq, Rng};
+use std::cmp::Reverse;
 use std::sync::OnceLock;
 
 /// Scaled-down representatives of every model family in the zoo.
@@ -150,145 +147,26 @@ fn mil_sweep_matches_the_range_query_reference() {
 
 // --------------------------------------------------- interval-set table
 
-const NUM_FAULTS: usize = 4;
-
-fn fault_profile(index: usize) -> Option<FaultProfile> {
-    match index {
-        1 => Some(FaultProfile::off()),
-        2 => Some(FaultProfile::light()),
-        3 => Some(FaultProfile::heavy()),
-        _ => None,
-    }
-}
-
-#[derive(Clone, Debug)]
-struct TableCase {
-    model: usize,
-    steps: usize,
-    fraction_pct: u64,
-    fault: usize,
-    seed: u64,
-    trace: bool,
-    /// 0 = default, 1 = FIFO prefetch order (`hot_first` off), 2 = no
-    /// lookahead (direct fetch), 3 = forced MIL 2, 4 = always-leave Case 3.
-    variant: usize,
-}
-
-fn run_table(c: &TableCase, table: bool) -> Result<SentinelOutcome, SentinelError> {
-    let g = &graphs()[c.model];
-    let hm = fast_sized_for(
-        HmConfig::optane_like().without_cache(),
-        g,
-        c.fraction_pct as f64 / 100.0,
-    );
-    let mut cfg = SentinelConfig::default().with_interval_set_table(table);
-    match c.variant {
-        1 => cfg.hot_first = false,
-        2 => cfg.lookahead = false,
-        3 => cfg = cfg.with_mil(2),
-        4 => cfg.case3 = Case3Policy::AlwaysLeave,
-        _ => {}
-    }
-    let mut rt = SentinelRuntime::new(cfg, hm);
-    if let Some(profile) = fault_profile(c.fault) {
-        rt = rt.with_fault_injection(profile, c.seed);
-    }
-    if c.trace {
-        rt = rt.with_trace(TraceLevel::Full);
-    }
-    rt.train(g, c.steps)
-}
-
-fn assert_table_transparent(c: &TableCase) -> Result<(), String> {
-    let on = run_table(c, true);
-    let off = run_table(c, false);
-    match (on, off) {
-        (Ok(on), Ok(off)) => {
-            prop_assert_eq!(on.report, off.report, "train report diverged");
-            prop_assert_eq!(on.stats, off.stats, "sentinel stats diverged");
-            prop_assert_eq!(on.mil_solution, off.mil_solution, "mil solution diverged");
-            prop_assert_eq!(on.fault_counters, off.fault_counters, "fault counters diverged");
-            prop_assert_eq!(on.profile, off.profile, "tensor profile diverged");
-            prop_assert_eq!(on.trace, off.trace, "trace diverged");
-            prop_assert_eq!(on.steps_executed, off.steps_executed);
-            Ok(())
-        }
-        (on, off) => {
-            let (a, b) = (on.map(|_| ()), off.map(|_| ()));
-            prop_assert!(
-                matches!((&a, &b), (Err(x), Err(y)) if x.to_string() == y.to_string()),
-                "table paths disagree on failure: on={a:?} off={b:?}"
-            );
-            Ok(())
-        }
-    }
-}
-
-fn gen_table_case(rng: &mut Rng) -> TableCase {
-    TableCase {
-        model: rng.gen_usize(0, graphs().len()),
-        steps: rng.gen_usize(2, 6),
-        fraction_pct: rng.gen_range(15, 36),
-        fault: rng.gen_usize(0, NUM_FAULTS),
-        seed: rng.gen_range(0, 1 << 32),
-        trace: rng.gen_bool(0.5),
-        variant: rng.gen_usize(0, 5),
-    }
-}
-
-fn shrink_table_case(c: &TableCase) -> Vec<TableCase> {
-    let mut out = Vec::new();
-    if c.steps > 2 {
-        out.push(TableCase { steps: c.steps - 1, ..c.clone() });
-    }
-    if c.fault != 0 {
-        out.push(TableCase { fault: 0, ..c.clone() });
-    }
-    if c.trace {
-        out.push(TableCase { trace: false, ..c.clone() });
-    }
-    if c.variant != 0 {
-        out.push(TableCase { variant: 0, ..c.clone() });
-    }
-    if c.model != 0 {
-        out.push(TableCase { model: 0, ..c.clone() });
-    }
-    out
-}
-
 #[test]
-fn interval_set_table_is_byte_transparent_end_to_end() {
-    // Full trains are orders pricier than unit properties: trim the default
-    // case count while honoring an explicit SENTINEL_PROP_CASES override.
-    let mut cfg = PropConfig::from_env();
-    if std::env::var("SENTINEL_PROP_CASES").is_err() {
-        cfg = cfg.with_cases(12);
-    }
-    cfg.run(
-        "interval_set_table_is_byte_transparent_end_to_end",
-        gen_table_case,
-        shrink_table_case,
-        assert_table_transparent,
-    );
-}
-
-#[test]
-fn table_transparency_holds_on_the_deterministic_matrix() {
-    // Every model × every config variant at a fixed budget: the axis most
-    // likely to expose an ordering bug (hot-first on/off changes the
-    // prefetch order the table precomputes).
-    for model in 0..graphs().len() {
-        for variant in 0..5 {
-            let c = TableCase {
-                model,
-                steps: 3,
-                fraction_pct: 20,
-                fault: 0,
-                seed: 7 * model as u64 + variant as u64,
-                trace: true,
-                variant,
-            };
-            assert_table_transparent(&c).unwrap_or_else(|e| panic!("{c:?}: {e}"));
+fn interval_sets_match_the_range_query_at_every_mil() {
+    for (g, (schedule, profile)) in graphs().iter().zip(planner_inputs()) {
+        let layers = g.num_layers();
+        for mil in 1..=layers {
+            let plan = IntervalPlan::new(mil, layers);
+            for hot in [None, Some(profile)] {
+                let at = format!("{} mil {mil} hot {}", g.name(), hot.is_some());
+                let sets = IntervalSets::build(schedule, &plan, hot);
+                assert_eq!(sets.num_intervals(), plan.num_intervals(), "{at}");
+                for k in 0..plan.num_intervals() {
+                    let mut expect =
+                        schedule.long_tensors_in(plan.start_layer(k), plan.end_layer(k));
+                    assert_eq!(sets.sorted(k), expect.as_slice(), "{at} interval {k}");
+                    if let Some(p) = hot {
+                        expect.sort_by_key(|&t| Reverse(p.tensor(t).mm_accesses));
+                    }
+                    assert_eq!(sets.prefetch_order(k), expect.as_slice(), "{at} interval {k}");
+                }
+            }
         }
     }
 }

@@ -193,9 +193,6 @@ impl<'g> ExecCtx<'g> {
     /// as stall time, and apply completed migrations.
     pub fn stall_until(&mut self, t: Ns) {
         if t > self.now {
-            if std::env::var_os("SENTINEL_TRACE_STALL").is_some() && t - self.now > 1_000_000 {
-                eprintln!("stall {}ms at {}", (t - self.now) / 1_000_000, std::backtrace::Backtrace::force_capture());
-            }
             self.breakdown.stall_ns += t - self.now;
             self.now = t;
         }

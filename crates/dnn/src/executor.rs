@@ -11,7 +11,7 @@ use crate::graph::Graph;
 use crate::manager::MemoryManager;
 use crate::report::{StepReport, TrainReport};
 use crate::tensor::{OpRef, TensorId};
-use sentinel_mem::{AccessKind, MemError, MemorySystem, Tier, TimeMode, TraceTrack};
+use sentinel_mem::{AccessKind, MemError, MemorySystem, Tier, TraceTrack};
 use sentinel_util::Json;
 
 /// Number of allocation retries after capacity-pressure handling before the
@@ -71,19 +71,6 @@ impl<'g> Executor<'g> {
     #[must_use]
     pub fn into_mem(self) -> MemorySystem {
         self.ctx.into_mem()
-    }
-
-    /// Select the memory system's poll [`TimeMode`] (builder form).
-    ///
-    /// The executor polls for completed migrations at fixed sites (layer
-    /// boundaries, pressure handling); the mode only changes how the
-    /// engine answers those polls — indexed event drain versus the
-    /// per-step linear scan — never where they happen, so both modes
-    /// produce byte-identical reports.
-    #[must_use]
-    pub fn with_time_mode(mut self, mode: TimeMode) -> Self {
-        self.ctx.mem_mut().set_time_mode(mode);
-        self
     }
 
     /// Run `steps` training steps, returning the aggregated report.
@@ -445,21 +432,5 @@ mod tests {
         let mut p = Recorder::default();
         e.run_step(&mut p).unwrap();
         assert_eq!(p.events, vec!["train_begin", "step_begin", "layer0", "layer1", "step_end"]);
-    }
-
-    #[test]
-    fn time_mode_builder_reaches_the_memory_system_and_reports_match() {
-        let g = graph();
-        let e = Executor::new(&g, mem()).with_time_mode(TimeMode::PerStep);
-        assert_eq!(e.ctx().mem().time_mode(), TimeMode::PerStep);
-
-        // Both modes produce byte-identical reports on the same graph.
-        let mut reports = Vec::new();
-        for mode in [TimeMode::EventDriven, TimeMode::PerStep] {
-            let mut e = Executor::new(&g, mem()).with_time_mode(mode);
-            let mut p = SingleTier::slow();
-            reports.push(e.run(&mut p, 2).unwrap());
-        }
-        assert_eq!(reports[0], reports[1]);
     }
 }

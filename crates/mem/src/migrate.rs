@@ -16,7 +16,7 @@
 //! makes `next_ready_at` available to event-driven callers, while drains
 //! still hand batches back in issue order so retry bookkeeping and traces are
 //! byte-identical to the historical linear scan. The scan survives as
-//! [`MigrationEngine::drain_completed_scan`], the per-step reference path.
+//! [`MigrationEngine::drain_completed_scan`], the reference path.
 
 use crate::{Ns, PageRange, Tier};
 use std::cmp::Reverse;
@@ -266,9 +266,9 @@ impl MigrationEngine {
 
     /// Remove and return every batch completed by `now` via a linear scan.
     ///
-    /// The historical per-step reference path, preserved (like
-    /// `MemorySystem::access_per_page`) so the equivalence suite can pin the
-    /// indexed drain byte-identical to it.
+    /// The historical reference path, preserved (like
+    /// `MemorySystem::access_per_page`) so the engine property in
+    /// `tests/chaos_migration.rs` can pin the indexed drain to it.
     pub fn drain_completed_scan(&mut self, now: Ns) -> Vec<InFlight> {
         if !self.in_flight.values().any(|f| f.ready_at <= now) {
             return Vec::new();

@@ -139,23 +139,6 @@ impl SanitizerMode {
     }
 }
 
-/// How the system locates migration completions when polled.
-///
-/// Both modes drain the same batches in the same (issue) order and are
-/// byte-identical — the equivalence suite pins this. They differ only in
-/// poll cost: the event-driven mode answers a no-completion poll with one
-/// heap peek, while the per-step mode replays the historical linear scan
-/// over every in-flight batch. The scan is kept as the reference path, like
-/// [`MemorySystem::access_per_page`] for the access pipeline.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum TimeMode {
-    /// Indexed drains via the engine's ready heap (the default).
-    #[default]
-    EventDriven,
-    /// Linear-scan drains: the preserved per-step reference path.
-    PerStep,
-}
-
 /// Every how many mutation events the sampled sanitizer runs a full check.
 /// Each check is O(in-flight batches), and mutation events (map/unmap/
 /// migrate/poll) are the hot path of every debug-build run, so the stride is
@@ -209,8 +192,6 @@ pub struct MemorySystem {
     /// Latest `now` seen by a timed entry point, for trace hooks that fire
     /// from call sites without a clock (the sampled sanitizer).
     last_now: Ns,
-    /// How polls locate migration completions (see [`TimeMode`]).
-    time_mode: TimeMode,
 }
 
 impl MemorySystem {
@@ -245,7 +226,6 @@ impl MemorySystem {
             sanitize_events: 0,
             tracer: TraceHandle::disabled(),
             last_now: 0,
-            time_mode: TimeMode::default(),
         }
     }
 
@@ -854,10 +834,7 @@ impl MemorySystem {
         let mut applied = false;
         let mut abandoned = false;
         loop {
-            let done = match self.time_mode {
-                TimeMode::EventDriven => self.engine.drain_completed(now),
-                TimeMode::PerStep => self.engine.drain_completed_scan(now),
-            };
+            let done = self.engine.drain_completed(now);
             if done.is_empty() {
                 break;
             }
@@ -1031,17 +1008,6 @@ impl MemorySystem {
     #[must_use]
     pub fn next_migration_ready(&self) -> Option<Ns> {
         self.engine.next_ready_at()
-    }
-
-    /// Select how polls locate migration completions (see [`TimeMode`]).
-    pub fn set_time_mode(&mut self, mode: TimeMode) {
-        self.time_mode = mode;
-    }
-
-    /// The active [`TimeMode`].
-    #[must_use]
-    pub fn time_mode(&self) -> TimeMode {
-        self.time_mode
     }
 
     /// Whether any migration is still in flight.

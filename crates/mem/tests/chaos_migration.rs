@@ -13,7 +13,7 @@
 use sentinel_core::{fast_sized_for, SentinelConfig, SentinelRuntime};
 use sentinel_mem::{
     AccessKind, Direction, FaultCounters, FaultInjector, FaultProfile, HmConfig, MemError,
-    MemorySystem, MigrationEngine, PageRange, SanitizerMode, Tier, TimeMode, TraceLevel,
+    MemorySystem, MigrationEngine, PageRange, SanitizerMode, Tier,
 };
 use sentinel_models::{ModelSpec, ModelZoo};
 use sentinel_util::Rng;
@@ -145,11 +145,26 @@ fn training_survives_heavy_faults_and_stays_deterministic() {
     }
 }
 
+/// Every observable of the two engines after an operation: the in-flight
+/// set in issue order, the next event, both `busy_until` lanes and the
+/// quiescence time (which also covers the urgent lanes).
+fn assert_engines_agree(a: &MigrationEngine, b: &MigrationEngine, at: &str) {
+    assert!(a.in_flight().eq(b.in_flight()), "{at}: in-flight sets diverged");
+    assert_eq!(a.next_ready_at(), b.next_ready_at(), "{at}: next event diverged");
+    assert_eq!(a.quiescent_at(), b.quiescent_at(), "{at}: quiescence diverged");
+    for dir in [Direction::Promote, Direction::Demote] {
+        assert_eq!(a.busy_until(dir), b.busy_until(dir), "{at}: {dir:?} lane diverged");
+    }
+}
+
 /// Injected stalls and jitter fire *through the event order*: a perturbed
 /// `ready_at` reorders the engine's ready-heap away from issue order, and
 /// the indexed event drain must still hand batches back exactly as the
-/// per-step linear-scan reference does — same batches, same issue order,
-/// same next-event time, through enqueues, cancels and staggered drains.
+/// linear-scan reference does — same batches, same issue order, same
+/// engine state — through every engine mutation `MemorySystem` issues:
+/// first issues and retries (`attempt > 0`), lane-share changes between
+/// rounds, cancels, staggered drains and drains at exactly the next
+/// completion instant (the inclusive `ready_at <= now` tie).
 #[test]
 fn jittered_ready_heap_drains_identically_to_the_scan_reference() {
     for seed in [2u64, 29, 0xFA17, 0xD15C0] {
@@ -158,8 +173,10 @@ fn jittered_ready_heap_drains_identically_to_the_scan_reference() {
         let mut reference = MigrationEngine::new(2.0, 1.0, 100, 4096);
         let mut now = 0u64;
         let mut reordered = false;
-        for round in 0..300 {
-            match rng.gen_usize(0, 5) {
+        let mut ties = 0;
+        for round in 0..400 {
+            let at = format!("seed {seed} round {round}");
+            match rng.gen_usize(0, 7) {
                 0..=1 => {
                     let range = PageRange::new(rng.gen_range(0, 512), rng.gen_range(1, 9));
                     let dir =
@@ -169,9 +186,13 @@ fn jittered_ready_heap_drains_identically_to_the_scan_reference() {
                     // leapfrog later enqueues in completion order.
                     let extra = if rng.gen_bool(0.5) { rng.gen_range(10_000, 80_000) } else { 0 };
                     let failed = rng.gen_bool(0.2);
-                    let a = indexed.enqueue_perturbed(range, dir, now, urgent, extra, failed, 0);
-                    let b = reference.enqueue_perturbed(range, dir, now, urgent, extra, failed, 0);
-                    assert_eq!(a.ready_at, b.ready_at, "seed {seed} round {round}");
+                    // Retries re-enqueue with a bumped attempt number.
+                    let attempt = if rng.gen_bool(0.3) { rng.gen_range(1, 4) as u32 } else { 0 };
+                    let a = indexed
+                        .enqueue_perturbed(range, dir, now, urgent, extra, failed, attempt);
+                    let b = reference
+                        .enqueue_perturbed(range, dir, now, urgent, extra, failed, attempt);
+                    assert_eq!(a, b, "{at}: tickets diverged");
                     // An inversion: a later-issued batch completing before an
                     // earlier one (in_flight iterates in issue order).
                     let mut latest = 0;
@@ -183,64 +204,55 @@ fn jittered_ready_heap_drains_identically_to_the_scan_reference() {
                 2 => {
                     let a = indexed.cancel_pending(now);
                     let b = reference.cancel_pending(now);
-                    assert_eq!(a, b, "seed {seed} round {round}: cancel diverged");
+                    assert_eq!(a, b, "{at}: cancel diverged");
+                }
+                3 => {
+                    let den = rng.gen_range(1, 5);
+                    let num = rng.gen_range(1, den + 1);
+                    indexed.set_lane_share(num, den);
+                    reference.set_lane_share(num, den);
+                }
+                4 => {
+                    if let Some(next) = indexed.next_ready_at() {
+                        now = now.max(next);
+                        let a = indexed.drain_completed(now);
+                        let b = reference.drain_completed_scan(now);
+                        assert_eq!(a, b, "{at}: tie drain diverged");
+                        if next == now {
+                            // A copy landing exactly at `now` is complete.
+                            assert!(a.iter().any(|f| f.ready_at == now), "{at}: tie not drained");
+                            ties += 1;
+                        }
+                    }
                 }
                 _ => {
                     now += rng.gen_range(1, 40_000);
-                    assert_eq!(
-                        indexed.next_ready_at(),
-                        reference.next_ready_at(),
-                        "seed {seed} round {round}"
-                    );
                     let a = indexed.drain_completed(now);
                     let b = reference.drain_completed_scan(now);
-                    assert_eq!(a, b, "seed {seed} round {round}: drain diverged");
+                    assert_eq!(a, b, "{at}: drain diverged");
                     // Issue order, not completion order.
-                    assert!(a.windows(2).all(|w| w[0].id < w[1].id), "seed {seed} round {round}");
+                    assert!(a.windows(2).all(|w| w[0].id < w[1].id), "{at}");
                 }
             }
+            assert_engines_agree(&indexed, &reference, &at);
         }
         assert!(reordered, "seed {seed}: jitter never reordered the heap");
+        assert!(ties > 0, "seed {seed}: no drain landed on a completion instant");
         now += 1 << 40;
         assert_eq!(indexed.drain_completed(now), reference.drain_completed_scan(now));
+        assert_engines_agree(&indexed, &reference, &format!("seed {seed} final drain"));
         assert_eq!(indexed.next_ready_at(), None);
     }
 }
 
-/// Whole heavy-fault training runs are byte-identical across time modes:
-/// the event-driven clock replays exactly the per-step fault schedule,
-/// ledger included.
-#[test]
-fn heavy_fault_training_is_identical_across_time_modes() {
-    let graph = ModelZoo::build(&ModelSpec::resnet(20, 4).with_scale(4)).unwrap();
-    let hm = fast_sized_for(HmConfig::optane_like().without_cache(), &graph, 0.2);
-    let run = |mode: TimeMode| {
-        SentinelRuntime::new(SentinelConfig::default(), hm.clone())
-            .with_fault_injection(FaultProfile::heavy(), 0xFA17)
-            .with_sanitizer(SanitizerMode::Events)
-            .with_trace(TraceLevel::Full)
-            .with_time_mode(mode)
-            .train(&graph, 6)
-            .unwrap()
-    };
-    let event = run(TimeMode::EventDriven);
-    let step = run(TimeMode::PerStep);
-    assert!(total(&event.fault_counters) > 0, "heavy profile injected nothing");
-    assert_eq!(event.report, step.report);
-    assert_eq!(event.fault_counters, step.fault_counters);
-    assert_eq!(event.trace, step.trace);
-}
-
 /// A zero-rate injector consumes no entropy: the memory system ends up in
-/// exactly the same state as one with no injector at all — in both time
-/// modes, which must also agree with each other.
+/// exactly the same state as one with no injector at all.
 #[test]
 fn zero_rate_injector_is_state_transparent() {
-    let drive = |with_injector: bool, mode: TimeMode| {
+    let drive = |with_injector: bool| {
         let mut m = MemorySystem::new(
             HmConfig::testing().with_fast_capacity(32 * 4096).with_slow_capacity(256 * 4096),
         );
-        m.set_time_mode(mode);
         if with_injector {
             m.set_fault_injector(FaultInjector::new(FaultProfile::off(), 42));
         }
@@ -261,11 +273,7 @@ fn zero_rate_injector_is_state_transparent() {
         assert!(m.fault_counters().is_zero());
         trace
     };
-    let baseline = drive(false, TimeMode::EventDriven);
-    for mode in [TimeMode::EventDriven, TimeMode::PerStep] {
-        assert_eq!(baseline, drive(true, mode), "zero-rate injector changed behaviour ({mode:?})");
-        assert_eq!(baseline, drive(false, mode), "time mode changed behaviour ({mode:?})");
-    }
+    assert_eq!(drive(false), drive(true), "zero-rate injector changed behaviour");
 }
 
 /// Deliberate page-table corruption must surface as a typed error from the

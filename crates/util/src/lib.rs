@@ -2,7 +2,7 @@
 //!
 //! The build environment has no registry access, so the workspace is
 //! hermetic by policy: anything that would normally come from an external
-//! crate lives here instead. Four small subsystems:
+//! crate lives here instead. Six small subsystems:
 //!
 //! - [`rng`] — seeded SplitMix64 / xoshiro256** pseudo-random numbers
 //!   (replaces `rand` for the deterministic GA search and test generators),
@@ -11,9 +11,6 @@
 //!   report output),
 //! - [`prop`] — a deterministic property-test harness with seeded case
 //!   generation and input minimization on failure (replaces `proptest`),
-//! - [`timing`] — a wall-clock benchmark harness with warmup, repeated
-//!   iterations and median/p10/p90 summary written as JSON (replaces
-//!   `criterion`),
 //! - [`pool`] — a scoped thread pool with ordered result collection and
 //!   panic propagation (replaces `rayon`-style `par_map` for the parallel
 //!   experiment runner; honors `SENTINEL_JOBS`),
@@ -29,7 +26,6 @@ pub mod json;
 pub mod pool;
 pub mod prop;
 pub mod rng;
-pub mod timing;
 pub mod trace;
 
 pub use fault::{
@@ -41,4 +37,3 @@ pub use trace::{trace_env, Trace, TraceEvent, TraceHandle, TraceLevel, TraceTrac
 pub use pool::{default_jobs, par_map, set_default_jobs, Pool};
 pub use prop::{check, no_shrink, shrink_u64, shrink_usize, shrink_vec, PropConfig};
 pub use rng::{Rng, SplitMix64};
-pub use timing::{suite_json, BenchResult, Bencher};

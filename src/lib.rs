@@ -29,7 +29,7 @@
 //!   protocol serving placement-plan queries and live-streamed simulation
 //!   runs (binaries `sentineld` and `sentinel_query`).
 //! * [`util`] — zero-dependency runtime utilities (seeded RNG, JSON,
-//!   property-test harness, timing harness, scoped thread pool).
+//!   property-test harness, scoped thread pool).
 //!
 //! ## Quickstart
 //!
