@@ -77,46 +77,19 @@ pub fn ensure_resident_sync(
     profile: &StaticProfile,
     current_layer: usize,
 ) -> bool {
-    use sentinel_mem::{pages_for_bytes, Ns, Tier};
+    use sentinel_mem::{pages_for_bytes, Tier};
     if !ctx.is_live(t) {
         return false;
     }
-    let page_size = ctx.mem().page_size();
-    let needed = pages_for_bytes(ctx.tensor_bytes_in(t, Tier::Slow), page_size);
+    let needed = pages_for_bytes(ctx.tensor_bytes_in(t, Tier::Slow), ctx.mem().page_size());
     if needed == 0 {
         return true;
     }
-    if ctx.mem().free_pages(Tier::Fast) < needed {
-        // Evict farthest-next-use residents until the tensor fits.
-        let mut victims: Vec<(std::cmp::Reverse<usize>, TensorId, u64)> = ctx
-            .graph()
-            .tensors()
-            .iter()
-            .map(|v| v.id)
-            .filter(|&v| v != t && ctx.is_live(v))
-            .filter_map(|v| {
-                let fast = ctx.tensor_bytes_in(v, Tier::Fast);
-                (fast > 0).then(|| {
-                    let next = profile.next_use(v, current_layer).unwrap_or(usize::MAX);
-                    (std::cmp::Reverse(next), v, fast)
-                })
-            })
-            .collect();
-        victims.sort();
-        let mut freed = 0u64;
-        let mut latest: Option<Ns> = None;
-        for (_, v, fast_bytes) in victims {
-            if ctx.mem().free_pages(Tier::Fast) + freed >= needed {
-                break;
-            }
-            if let Ok(Some(ready)) = ctx.migrate_tensor_urgent(v, Tier::Slow) {
-                freed += pages_for_bytes(fast_bytes, page_size);
-                latest = Some(latest.map_or(ready, |l: Ns| l.max(ready)));
-            }
-        }
-        if let Some(ready) = latest {
-            ctx.stall_until(ready);
-        }
+    let free = ctx.mem().free_pages(Tier::Fast);
+    if free < needed {
+        ctx.demote_farthest_first(needed - free, |v| {
+            (v.id != t).then(|| profile.next_use(v.id, current_layer).unwrap_or(usize::MAX))
+        });
     }
     match ctx.migrate_tensor_urgent(t, Tier::Fast) {
         Ok(Some(ready)) => {

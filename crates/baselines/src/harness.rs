@@ -22,17 +22,17 @@ pub enum Baseline {
     FirstTouch,
     /// Optane Memory Mode (DRAM as hardware cache).
     MemoryModeCache,
-    /// Improved active list ([19]).
+    /// Improved active list (\[19\]).
     Ial,
-    /// AutoTM ([7]).
+    /// AutoTM (\[7\]).
     AutoTm,
-    /// CUDA Unified Memory ([37]).
+    /// CUDA Unified Memory (\[37\]).
     UnifiedMemory,
-    /// vDNN ([6]) — convolution models only.
+    /// vDNN (\[6\]) — convolution models only.
     Vdnn,
-    /// SwapAdvisor ([8]).
+    /// SwapAdvisor (\[8\]).
     SwapAdvisor,
-    /// Capuchin ([9]).
+    /// Capuchin (\[9\]).
     Capuchin,
 }
 

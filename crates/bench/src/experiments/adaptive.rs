@@ -61,7 +61,7 @@ pub struct VariantRun {
     pub variant: String,
     /// Mean managed-step time before the arrival (profiling step excluded).
     pub pre_change_step_ns: u64,
-    /// Mean step time over the last [`TAIL`] steps after the arrival.
+    /// Mean step time over the last `TAIL` steps after the arrival.
     pub post_change_step_ns: u64,
     /// Worst single step after the arrival (the detection + re-plan spike).
     pub worst_post_step_ns: u64,
@@ -91,7 +91,7 @@ sentinel_util::impl_to_json!(VariantRun {
 
 /// Drive one arm: train `pre_steps` steps, let the co-tenant arrive
 /// (except for the oracle, which starts on the shrunk machine), train
-/// [`POST_STEPS`] more. Exposed so tests can assert the recovery claim on
+/// `POST_STEPS` more. Exposed so tests can assert the recovery claim on
 /// the same machinery the figure uses.
 #[must_use]
 pub fn run_variant(spec: &ModelSpec, variant: Variant, pre_steps: usize) -> VariantRun {

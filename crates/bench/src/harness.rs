@@ -187,20 +187,6 @@ pub(crate) fn traced(runtime: SentinelRuntime) -> SentinelRuntime {
     }
 }
 
-/// Apply the environment's migration retry override, if one is configured
-/// (`SENTINEL_RETRY_MAX_ATTEMPTS` / `SENTINEL_RETRY_BACKOFF_NS`). Like
-/// [`armed`], a malformed knob is a hard error — silently running on the
-/// default policy would invalidate a retry experiment. Applied after run
-/// keys are computed, so trace names and derived fault seeds are stable
-/// with or without the override.
-pub(crate) fn with_env_retry(cfg: SentinelConfig) -> SentinelConfig {
-    match sentinel_mem::RetryPolicy::from_env() {
-        Ok(Some(policy)) => cfg.with_retry(policy),
-        Ok(None) => cfg,
-        Err(e) => panic!("invalid retry environment: {e}"),
-    }
-}
-
 /// Write the run's trace (if one was recorded and `SENTINEL_TRACE_DIR` is
 /// set) as `<slug>-<hash>.trace.json` in the Chrome `trace_event` format.
 /// The name is a pure function of the run `key`, so file sets are identical
@@ -234,7 +220,7 @@ pub fn run_sentinel(
     let hm = fast_sized_for(HmConfig::optane_like(), &graph, fraction);
     let key = format!("cpu|{spec:?}|{fraction}|{steps}");
     let outcome =
-        traced(armed(SentinelRuntime::new(with_env_retry(SentinelConfig::default()), hm), &key))
+        traced(armed(SentinelRuntime::new(SentinelConfig::default(), hm), &key))
             .train(&graph, steps)?;
     write_trace(&outcome, &key);
     Ok(outcome)
@@ -251,7 +237,7 @@ pub fn run_sentinel_with(
     let graph = ModelZoo::build(spec).expect("model builds");
     let hm = fast_sized_for(hm, &graph, fraction);
     let key = format!("with|{spec:?}|{cfg:?}|{fraction}|{steps}");
-    let outcome = traced(armed(SentinelRuntime::new(with_env_retry(cfg), hm), &key)).train(&graph, steps)?;
+    let outcome = traced(armed(SentinelRuntime::new(cfg, hm), &key)).train(&graph, steps)?;
     write_trace(&outcome, &key);
     Ok(outcome)
 }

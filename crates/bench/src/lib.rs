@@ -66,9 +66,3 @@ pub fn experiment_registry() -> Vec<(&'static str, fn(&ExpConfig) -> ExpResult)>
     }
     registry
 }
-
-/// Run every experiment in presentation order.
-#[must_use]
-pub fn all_experiments(cfg: &ExpConfig) -> Vec<ExpResult> {
-    experiment_registry().into_iter().map(|(_, f)| f(cfg)).collect()
-}

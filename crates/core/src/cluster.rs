@@ -15,12 +15,12 @@
 //!
 //! ## Determinism contract
 //!
-//! The driver is a serial discrete-event loop over the crate's
-//! [`EventQueue`]: job arrivals and per-job step completions interleave on
-//! one cluster clock in `(at, kind priority, seq)` order, with
-//! [`EventKind::JobStepEnd`] outranking [`EventKind::JobArrival`] at the
-//! same instant so a release and an arrival colliding on the clock admit
-//! the newcomer against the post-release fleet state. Steps are simulated
+//! The scheduler runs a serial discrete-event loop over a private min-heap:
+//! job arrivals and per-job step completions interleave on one cluster clock
+//! in `(at, kind, seq)` order. A step end outranks an arrival at the same
+//! instant, so a release and an arrival colliding on the clock admit the
+//! newcomer against the post-release fleet state; events of one kind at one
+//! instant fire in scheduling order. Steps are simulated
 //! eagerly when scheduled, so **quota and lane-share changes take effect
 //! only at the owning job's next step boundary** — a quota computed while a
 //! tenant is mid-step lands before its next step begins, never inside one.
@@ -43,13 +43,14 @@
 
 use crate::config::SentinelConfig;
 use crate::error::SentinelError;
-use crate::event::{EventKind, EventQueue};
 use crate::policy::SentinelPolicy;
 use sentinel_dnn::{Executor, Graph, MemoryManager, TensorId, TrainReport};
 use sentinel_mem::{
     pages_for_bytes, FaultCounters, FaultInjector, FaultProfile, HmConfig, MemorySystem, Ns, Tier,
 };
 use sentinel_util::{Json, ToJson};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// How the fleet's fast-tier pages are divided between tenants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -482,6 +483,26 @@ struct ActiveJob<'g> {
     admitted_ns: Ns,
 }
 
+/// A scheduled cluster event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Due {
+    /// Job `job` finishes step `step` (0-based, profiling included).
+    StepEnd { job: usize, step: usize },
+    /// Job `job` arrives (open-loop trace).
+    Arrival { job: usize },
+}
+
+impl Due {
+    /// Same-instant firing rank, lowest first: a step end releases capacity
+    /// before an arrival at the same instant tries to claim it.
+    fn rank(self) -> u8 {
+        match self {
+            Due::StepEnd { .. } => 0,
+            Due::Arrival { .. } => 1,
+        }
+    }
+}
+
 enum Slot<'g> {
     /// Not yet arrived or waiting for admission.
     Idle,
@@ -551,7 +572,10 @@ struct Run<'a, 'g> {
     slots: Vec<Slot<'g>>,
     /// Waiting-room FIFO of arrived, unadmitted job indexes.
     waiting: Vec<usize>,
-    queue: EventQueue,
+    /// Pending events, min-first by `(at, rank, seq)`: events of one kind
+    /// at one instant fire in scheduling order.
+    queue: BinaryHeap<Reverse<(Ns, u8, u64, Due)>>,
+    next_seq: u64,
     events: Vec<ClusterEvent>,
     admissions: u64,
     rejected: u64,
@@ -580,7 +604,8 @@ impl<'a, 'g> Run<'a, 'g> {
             fleet_pages,
             slots: (0..jobs.len()).map(|_| Slot::Idle).collect(),
             waiting: Vec::new(),
-            queue: EventQueue::new(),
+            queue: BinaryHeap::new(),
+            next_seq: 0,
             events: Vec::new(),
             admissions: 0,
             rejected: 0,
@@ -654,23 +679,24 @@ impl<'a, 'g> Run<'a, 'g> {
 
     // ---------------------------------------------------------- event loop
 
+    fn schedule(&mut self, at: Ns, due: Due) {
+        self.queue.push(Reverse((at, due.rank(), self.next_seq, due)));
+        self.next_seq += 1;
+    }
+
     fn drive(mut self) -> Result<ClusterOutcome, SentinelError> {
-        for (i, spec) in self.jobs.iter().enumerate() {
-            self.queue.schedule(spec.arrival_ns, EventKind::JobArrival { job: i });
+        for (job, spec) in self.jobs.iter().enumerate() {
+            self.schedule(spec.arrival_ns, Due::Arrival { job });
         }
-        while let Some(ev) = self.queue.pop_next() {
-            match ev.kind {
-                EventKind::JobArrival { job } => {
-                    self.log(ev.at, job, ClusterEventKind::Arrival);
+        while let Some(Reverse((at, _, _, due))) = self.queue.pop() {
+            match due {
+                Due::Arrival { job } => {
+                    self.log(at, job, ClusterEventKind::Arrival);
                     self.waiting.push(job);
                     self.retarget_quotas();
-                    self.try_admissions(ev.at)?;
+                    self.try_admissions(at)?;
                 }
-                EventKind::JobStepEnd { job, step } => {
-                    self.on_step_end(ev.at, job, step)?;
-                }
-                // The cluster queue carries only cluster events.
-                _ => unreachable!("non-cluster event in the cluster queue"),
+                Due::StepEnd { job, step } => self.on_step_end(at, job, step)?,
             }
         }
         let tenants: Vec<TenantReport> = self
@@ -827,7 +853,7 @@ impl<'a, 'g> Run<'a, 'g> {
         a.report.steps.push(sr);
         a.steps_done += 1;
         let end = a.offset + a.exec.ctx().now();
-        self.queue.schedule(end, EventKind::JobStepEnd { job, step });
+        self.schedule(end, Due::StepEnd { job, step });
         Ok(())
     }
 
@@ -1071,6 +1097,53 @@ mod tests {
             assert!(e.fleet_reserved_pages <= outcome.fleet_fast_pages);
             assert!(e.fleet_used_pages <= outcome.fleet_fast_pages);
         }
+    }
+
+    #[test]
+    fn step_end_fires_before_an_arrival_at_the_same_instant() {
+        let g = graph();
+        let cfg = ClusterConfig::new(fleet_for(&[&g, &g], 0.25));
+        // A non-final step-end instant of job A, read from its solo log.
+        let solo = ClusterScheduler::new(cfg.clone()).run(&[JobSpec::new("a", &g, 0, 6)]).unwrap();
+        let tie = solo
+            .events
+            .iter()
+            .find(|e| matches!(e.kind, ClusterEventKind::StepEnd { step: 1, .. }))
+            .expect("A ends step 1")
+            .at;
+        let jobs = [JobSpec::new("a", &g, 0, 6), JobSpec::new("b", &g, tie, 6)];
+        let outcome = ClusterScheduler::new(cfg).run(&jobs).unwrap();
+        let at_tie = |job: usize, kind: fn(&ClusterEventKind) -> bool| {
+            outcome.events.iter().position(|e| e.at == tie && e.job == job && kind(&e.kind))
+        };
+        let step_end = at_tie(0, |k| matches!(k, ClusterEventKind::StepEnd { step: 1, .. }))
+            .expect("A's step 1 still ends at the tie");
+        let arrival =
+            at_tie(1, |k| *k == ClusterEventKind::Arrival).expect("B arrives at the tie");
+        assert!(step_end < arrival, "B's arrival was logged before A's step end");
+        // A passed its boundary before B arrived, so no quota shrink could
+        // make room for B at that instant.
+        assert_eq!(at_tie(1, |k| matches!(k, ClusterEventKind::Admitted { .. })), None);
+        assert!(outcome.tenants[1].admitted_ns.is_some_and(|t| t > tie));
+    }
+
+    #[test]
+    fn same_instant_arrivals_are_logged_in_job_order() {
+        let g = graph();
+        let cfg = ClusterConfig::new(fleet_for(&[&g, &g, &g], 0.25));
+        let jobs = [
+            JobSpec::new("a", &g, 5_000, 2),
+            JobSpec::new("b", &g, 5_000, 2),
+            JobSpec::new("c", &g, 5_000, 2),
+        ];
+        let outcome = ClusterScheduler::new(cfg).run(&jobs).unwrap();
+        let arrivals: Vec<(Ns, usize)> = outcome
+            .events
+            .iter()
+            .filter(|e| e.kind == ClusterEventKind::Arrival)
+            .map(|e| (e.at, e.job))
+            .collect();
+        assert_eq!(arrivals, vec![(5_000, 0), (5_000, 1), (5_000, 2)]);
     }
 
     #[test]

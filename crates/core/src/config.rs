@@ -1,7 +1,6 @@
 //! Sentinel runtime configuration and ablation switches.
 
 use crate::adapt::AdaptConfig;
-use sentinel_mem::RetryPolicy;
 
 /// How Sentinel resolves Case 3 — migrations that did not finish before the
 /// interval that needs their tensors (Section IV-D).
@@ -69,13 +68,6 @@ pub struct SentinelConfig {
     /// committed goldens — all produced with adaptation off — stay
     /// byte-stable.
     pub adaptive: Option<AdaptConfig>,
-    /// Migration retry/backoff policy override for the memory system
-    /// (`None` keeps [`RetryPolicy::default`]). Settable from the
-    /// environment through `SENTINEL_RETRY_MAX_ATTEMPTS` /
-    /// `SENTINEL_RETRY_BACKOFF_NS` (see `RetryPolicy::from_env`).
-    /// Excluded from the JSON serialization for the same golden-stability
-    /// reason as `adaptive`.
-    pub retry: Option<RetryPolicy>,
 }
 
 impl Default for SentinelConfig {
@@ -90,7 +82,6 @@ impl Default for SentinelConfig {
             hot_first: true,
             gpu: false,
             adaptive: None,
-            retry: None,
         }
     }
 }
@@ -139,13 +130,6 @@ impl SentinelConfig {
         self.adaptive = Some(adapt);
         self
     }
-
-    /// Override the memory system's migration retry policy.
-    #[must_use]
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = Some(retry);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -187,13 +171,11 @@ mod tests {
     #[test]
     fn adaptive_and_retry_default_off_and_stay_out_of_json() {
         use sentinel_util::ToJson;
-        let c = SentinelConfig::default();
-        assert!(c.adaptive.is_none() && c.retry.is_none());
-        let on = SentinelConfig::default()
-            .with_adaptive(AdaptConfig::default())
-            .with_retry(RetryPolicy::default());
-        assert!(on.adaptive.is_some() && on.retry.is_some());
-        // Golden stability: neither knob appears in the serialized config.
+        assert!(SentinelConfig::default().adaptive.is_none());
+        let on = SentinelConfig::default().with_adaptive(AdaptConfig::default());
+        assert!(on.adaptive.is_some());
+        // Golden stability: the knob does not appear in the serialized
+        // config, and neither does the memory system's fixed retry policy.
         let json = on.to_json().to_string();
         assert!(!json.contains("adaptive") && !json.contains("retry"), "{json}");
     }

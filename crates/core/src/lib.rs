@@ -4,7 +4,10 @@
 //! [`sentinel_dnn::MemoryManager`] policy plus supporting machinery:
 //!
 //! * [`SentinelPolicy`] — the full runtime: a profiling phase (page-aligned
-//!   allocation + poison-fault counting, Section III), data reorganization
+//!   allocation + poison-fault counting, Section III) run through the
+//!   profiler's own recorder ([`sentinel_profiler::ProfilingPolicy`]), so
+//!   the plan comes from the same profile a standalone
+//!   [`sentinel_profiler::Profiler`] reports; data reorganization
 //!   into lifetime/hotness pools ([`ReorgPlan`], Section IV-B), a reserved
 //!   fast-memory region for short-lived tensors (Section IV-C), and
 //!   adaptive layer-based migration with prefetch/evict per interval and
@@ -34,7 +37,6 @@ mod cluster;
 mod config;
 mod dynamic;
 mod error;
-mod event;
 mod interval;
 mod policy;
 mod reorg;
@@ -49,7 +51,6 @@ pub use cluster::{
 pub use config::{Ablation, Case3Policy, SentinelConfig};
 pub use dynamic::{DataflowTracker, DynamicOutcome, DynamicRuntime, MAX_BUCKETS};
 pub use error::SentinelError;
-pub use event::{EventKind, EventQueue, SimEvent};
 pub use interval::{solve_mil, solve_mil_reference, IntervalPlan, MilCandidate, MilSolution};
 pub use policy::{EvictedTensor, SentinelPolicy, SentinelStats};
 pub use reorg::{HotClass, ReorgPlan};

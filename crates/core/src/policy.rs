@@ -5,18 +5,19 @@
 //! allocation in slow memory + poison-fault counting), and managed steps in
 //! which tensors are co-allocated by lifetime/hotness group, short-lived
 //! tensors live in a reserved fast-memory region, and long-lived tensors are
-//! migrated per the adaptive layer-based interval plan of Section IV-D.
+//! migrated per the adaptive layer-based interval plan of Section IV-D. The
+//! first two phases are the profiler's own [`ProfilingPolicy`]: the policy
+//! forwards its hooks to it and plans from the report it builds.
 
 use crate::adapt::{AdaptReport, AdaptState, AdaptWarning, DriftVerdict, Observation, PendingObservation};
 use crate::config::{Case3Policy, SentinelConfig};
 use crate::error::SentinelError;
-use crate::event::{EventKind, EventQueue};
 use crate::interval::{solve_mil, IntervalPlan, MilSolution};
 use crate::reorg::ReorgPlan;
 use crate::schedule::{IntervalSets, Schedule};
 use sentinel_dnn::{ExecCtx, IntervalRecord, MemoryManager, PoolSpec, Tensor, TensorId};
 use sentinel_mem::{pages_for_bytes, Ns, PageRange, SanitizerMode, Tier, TraceTrack};
-use sentinel_profiler::{ProfileReport, TensorDelta, TensorProfile};
+use sentinel_profiler::{ProfileReport, ProfilingPolicy, TensorDelta};
 use sentinel_util::Json;
 use std::collections::{HashMap, HashSet};
 
@@ -41,14 +42,6 @@ pub struct SentinelStats {
     pub stall_fault_ns: u64,
     /// Stall time attributed to capacity-pressure evictions.
     pub stall_pressure_ns: u64,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// Before/during warmup and the profiling step.
-    Profiling,
-    /// After reorganization: full Sentinel management.
-    Managed,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,12 +114,10 @@ pub struct EvictedTensor {
 #[derive(Debug)]
 pub struct SentinelPolicy {
     cfg: SentinelConfig,
-    phase: Phase,
-    // Profiling-phase state.
-    prof_pages: Vec<Option<PageRange>>,
-    prof_layer_start: (Ns, Ns),
-    prof_layer_times: Vec<Ns>,
-    prof_recording: bool,
+    /// The profiling-step recorder every hook defers to through warmup and
+    /// the profiling step; `None` once its report is taken and the policy
+    /// manages memory itself.
+    profiling: Option<ProfilingPolicy>,
     // Managed-phase state (built at the end of the profiling step).
     schedule: Option<Schedule>,
     profile: Option<ProfileReport>,
@@ -161,13 +152,6 @@ pub struct SentinelPolicy {
     /// (lookahead prefetch targets the *next* interval), pending Case-2
     /// classification.
     case2_pending: HashSet<usize>,
-    /// The discrete-event queue behind interval-boundary classification:
-    /// migration completions, the boundary itself, sanitizer samples and
-    /// injected-fault resolutions fire in `(at, kind, seq)` order.
-    events: EventQueue,
-    /// Migration-retry count observed at the previous boundary, so a delta
-    /// marks injected faults whose consequences straddle this boundary.
-    boundary_retries_seen: u64,
     /// Typed error latched by the interval solver (the profiling hook
     /// cannot return a `Result`); surfaced by `SentinelRuntime::train`.
     solver_error: Option<SentinelError>,
@@ -183,12 +167,8 @@ impl SentinelPolicy {
     pub fn new(cfg: SentinelConfig) -> Self {
         let adapt = cfg.adaptive.clone().map(AdaptState::new);
         SentinelPolicy {
+            profiling: Some(ProfilingPolicy::new(cfg.profile_warmup)),
             cfg,
-            phase: Phase::Profiling,
-            prof_pages: Vec::new(),
-            prof_layer_start: (0, 0),
-            prof_layer_times: Vec::new(),
-            prof_recording: false,
             schedule: None,
             profile: None,
             reorg: None,
@@ -207,8 +187,6 @@ impl SentinelPolicy {
             ledger: Vec::new(),
             open_interval: None,
             case2_pending: HashSet::new(),
-            events: EventQueue::new(),
-            boundary_retries_seen: 0,
             solver_error: None,
             adapt,
         }
@@ -252,10 +230,6 @@ impl SentinelPolicy {
     }
 
     // ------------------------------------------------------------- helpers
-
-    fn profiling_step_index(&self) -> usize {
-        self.cfg.profile_warmup
-    }
 
     fn free_for_long_pages(&self, ctx: &ExecCtx<'_>) -> u64 {
         let live_short_pages = pages_for_bytes(self.live_short_bytes, ctx.mem().page_size());
@@ -339,70 +313,23 @@ impl SentinelPolicy {
     /// Resolve Case 3 at the start of interval `k`: promotes still in
     /// flight from the previous interval's prefetch.
     ///
-    /// Classification runs through the discrete-event queue: the channel's
-    /// completion time, the boundary itself, a sanitizer sample and any
-    /// straddling injected-fault resolution are scheduled as typed events
-    /// and fired in `(at, kind, seq)` order. The MigrationReady-before-
-    /// IntervalBoundary tie-break is the executable `ready_at <= now`
-    /// convention: a copy landing exactly on the boundary is observed by it
-    /// (Case 1).
+    /// The boundary is Case 1 iff the promote channel has drained by now
+    /// (`ready_at <= now`): a copy landing exactly on the boundary belongs
+    /// to the closing interval, so the boundary observes it as resident.
     fn handle_case3(&mut self, k: usize, ctx: &mut ExecCtx<'_>) {
-        let now = ctx.now();
         let ready = ctx.mem().channel_free_at(Tier::Fast);
-        let layer = self.plan.as_ref().map_or(0, |p| p.start_layer(k));
-        self.events.clear();
-        self.events.schedule(now, EventKind::IntervalBoundary { interval: k, layer });
-        self.events.schedule(ready, EventKind::MigrationReady);
-        if ctx.mem().sanitizer_mode() != SanitizerMode::Off {
-            self.events.schedule(now, EventKind::SanitizerSample);
-        }
-        let retries = ctx.mem().fault_counters().migration_retries;
-        if retries > self.boundary_retries_seen {
-            // Injected faults perturbed the channel since the last boundary;
-            // their consequence (retried copies) resolves when it drains.
-            self.events
-                .schedule(ready, EventKind::FaultFiring { retries: retries - self.boundary_retries_seen });
-        }
-        self.boundary_retries_seen = retries;
-        if self.adapt.is_some() {
-            // The drift hook fires after everything else at this instant,
-            // observing the boundary's settled classification.
-            self.events.schedule(now, EventKind::DriftCheck);
-        }
-        let mut landed = false;
-        let mut case1 = false;
-        let mut drift_checked = false;
-        while let Some(ev) = self.events.pop_due(now) {
-            match ev.kind {
-                EventKind::MigrationReady => landed = true,
-                EventKind::IntervalBoundary { .. } => case1 = landed,
-                EventKind::DriftCheck => drift_checked = true,
-                EventKind::SanitizerSample => {
-                    // Boundary-time invariant validation (read-only; the
-                    // sampled event-driven sanitizer covers the hot path).
-                    if self.violation.is_none() {
-                        if let Err(e) = ctx.mem().check_invariants() {
-                            self.violation = Some(format!("boundary sanitizer: {e}"));
-                        }
-                    }
-                }
-                // A pre-boundary resolution is just a marker: the retried
-                // copies landed with the rest of the channel.
-                EventKind::FaultFiring { .. } => {}
-                // Cluster-level events never enter a policy's private queue;
-                // the cluster driver owns its own EventQueue.
-                EventKind::JobStepEnd { .. } | EventKind::JobArrival { .. } => {}
+        let case1 = ready <= ctx.now();
+        // Boundary-time invariant validation (read-only; the sampled
+        // event-driven sanitizer covers the hot path).
+        if ctx.mem().sanitizer_mode() != SanitizerMode::Off && self.violation.is_none() {
+            if let Err(e) = ctx.mem().check_invariants() {
+                self.violation = Some(format!("boundary sanitizer: {e}"));
             }
         }
-        // Whatever did not fire (an unfinished copy, an unresolved fault)
-        // is exactly the Case-3 condition handled below.
-        self.events.clear();
-        if drift_checked {
-            if let Some(adapt) = self.adapt.as_mut() {
-                adapt.report.boundary_checks += 1;
-                if !case1 {
-                    adapt.report.boundary_misses += 1;
-                }
+        if let Some(adapt) = self.adapt.as_mut() {
+            adapt.report.boundary_checks += 1;
+            if !case1 {
+                adapt.report.boundary_misses += 1;
             }
         }
         if case1 {
@@ -503,37 +430,12 @@ impl SentinelPolicy {
 
     /// Demote fast-resident long-lived tensors (farthest next use first)
     /// until `pages` pages can be freed, then wait for the copies.
-    fn evict_for_pages(&mut self, exclude: TensorId, pages: u64, current_layer: usize, ctx: &mut ExecCtx<'_>) {
+    fn evict_for_pages(&self, exclude: TensorId, pages: u64, current_layer: usize, ctx: &mut ExecCtx<'_>) {
         let Some(schedule) = self.schedule.as_ref() else { return };
-        let mut victims: Vec<(std::cmp::Reverse<usize>, TensorId, u64)> = ctx
-            .graph()
-            .tensors()
-            .iter()
-            .filter(|t| !t.is_short_lived() && t.id != exclude && ctx.is_live(t.id))
-            .filter_map(|t| {
-                let fast = ctx.tensor_bytes_in(t.id, Tier::Fast);
-                (fast > 0).then(|| {
-                    let next = schedule.next_use_cyclic(t.id, current_layer).unwrap_or(usize::MAX);
-                    (std::cmp::Reverse(next), t.id, fast)
-                })
-            })
-            .collect();
-        victims.sort();
-        let page_size = ctx.mem().page_size();
-        let mut freed = 0u64;
-        let mut latest: Option<Ns> = None;
-        for (_, v, fast_bytes) in victims {
-            if freed >= pages {
-                break;
-            }
-            if let Ok(Some(ready)) = ctx.migrate_tensor_urgent(v, Tier::Slow) {
-                freed += pages_for_bytes(fast_bytes, page_size);
-                latest = Some(latest.map_or(ready, |l: Ns| l.max(ready)));
-            }
-        }
-        if let Some(ready) = latest {
-            ctx.stall_until(ready);
-        }
+        ctx.demote_farthest_first(pages, |t| {
+            (!t.is_short_lived() && t.id != exclude)
+                .then(|| schedule.next_use_cyclic(t.id, current_layer).unwrap_or(usize::MAX))
+        });
     }
 
     // ------------------------------------------- multi-tenant quota support
@@ -570,44 +472,25 @@ impl SentinelPolicy {
         // Between steps the next layer to execute is 0; its interval is the
         // working set the demotion must exclude.
         let boundary = plan.end_layer(plan.interval_of(0));
-        let mut victims: Vec<(std::cmp::Reverse<usize>, TensorId, u64, Option<usize>)> = ctx
-            .graph()
-            .tensors()
-            .iter()
-            .filter(|t| !t.is_short_lived() && ctx.is_live(t.id))
-            .filter_map(|t| {
-                let fast = ctx.tensor_bytes_in(t.id, Tier::Fast);
-                if fast == 0 {
-                    return None;
-                }
-                let next = schedule.next_use_cyclic(t.id, 0);
-                // Cold only: the upcoming interval must not lose residency.
-                match next {
-                    Some(n) if n < boundary => None,
-                    _ => Some((std::cmp::Reverse(next.unwrap_or(usize::MAX)), t.id, fast, next)),
-                }
+        let demoted = ctx.demote_farthest_first(pages, |t| {
+            if t.is_short_lived() {
+                return None;
+            }
+            // Cold only: the upcoming interval must not lose residency.
+            match schedule.next_use_cyclic(t.id, 0) {
+                Some(n) if n < boundary => None,
+                next => Some(next.unwrap_or(usize::MAX)),
+            }
+        });
+        demoted
+            .into_iter()
+            .map(|(tensor, pages)| EvictedTensor {
+                tensor,
+                pages,
+                next_use: schedule.next_use_cyclic(tensor, 0),
+                boundary,
             })
-            .collect();
-        victims.sort();
-        let page_size = ctx.mem().page_size();
-        let mut freed = 0u64;
-        let mut latest: Option<Ns> = None;
-        let mut evicted = Vec::new();
-        for (_, v, fast_bytes, next_use) in victims {
-            if freed >= pages {
-                break;
-            }
-            if let Ok(Some(ready)) = ctx.migrate_tensor_urgent(v, Tier::Slow) {
-                let moved = pages_for_bytes(fast_bytes, page_size);
-                freed += moved;
-                latest = Some(latest.map_or(ready, |l: Ns| l.max(ready)));
-                evicted.push(EvictedTensor { tensor: v, pages: moved, next_use, boundary });
-            }
-        }
-        if let Some(ready) = latest {
-            ctx.stall_until(ready);
-        }
-        evicted
+            .collect()
     }
 
     // ----------------------------------------------------- interval ledger
@@ -699,43 +582,9 @@ impl SentinelPolicy {
         }
     }
 
-    /// Build the managed-phase plans from the just-finished profiling step.
-    fn finish_profiling(&mut self, ctx: &mut ExecCtx<'_>) {
-        let profiling_step_ns = ctx.now();
+    /// Build the managed-phase plans from the profiling step's report.
+    fn finish_profiling(&mut self, profile: ProfileReport, ctx: &mut ExecCtx<'_>) {
         let graph = ctx.graph();
-        let map = ctx.mem_mut().stop_profiling();
-        let tensors: Vec<TensorProfile> = graph
-            .tensors()
-            .iter()
-            .map(|t| {
-                let pages = self.prof_pages.get(t.id.index()).copied().flatten();
-                let page_faults = pages.map_or(0, |r| map.count_range(r));
-                let page_count = pages.map_or(0, |r| r.count);
-                TensorProfile {
-                    id: t.id,
-                    bytes: t.bytes,
-                    kind: t.kind,
-                    short_lived: t.is_short_lived(),
-                    layer_span: t.layer_span(),
-                    mm_accesses: page_faults.div_ceil(page_count.max(1)),
-                    page_faults,
-                    pages: page_count,
-                }
-            })
-            .collect();
-        let layer_times_ns = std::mem::take(&mut self.prof_layer_times);
-        let profile = ProfileReport {
-            model: graph.name().to_owned(),
-            page_size: ctx.mem().page_size(),
-            tensors,
-            layer_time_prefix: ProfileReport::prefix_sums(&layer_times_ns),
-            layer_times_ns,
-            profiling_step_ns,
-            faults: map.total(),
-            peak_short_lived_bytes: graph.peak_short_lived_bytes(),
-            peak_live_bytes: graph.peak_live_bytes(),
-        };
-
         let schedule = Schedule::new(graph);
         let page_size = ctx.mem().page_size();
         let fast_bytes = ctx.mem().config().fast.capacity_bytes;
@@ -768,21 +617,12 @@ impl SentinelPolicy {
                 MilSolution { mil: 1, candidates: Vec::new() }
             }
         };
-        let mil = self.cfg.mil_override.unwrap_or(solution.mil).min(graph.num_layers().max(1));
-        let plan = IntervalPlan::new(mil.max(1), graph.num_layers().max(1));
-        // One pass over the chosen plan: every boundary of every managed
-        // step reads these slices instead of re-querying the schedule.
-        let hot = self.cfg.hot_first.then_some(&profile);
-        self.interval_sets = Some(IntervalSets::build(&schedule, &plan, hot));
-        self.plan = Some(plan);
-        self.stats.mil = mil.max(1);
-        self.stats.reserve_pages = self.reserve_pages;
-        self.stats.profiling_steps = self.cfg.profile_warmup as u64 + 1;
-        self.mil_solution = Some(solution);
         self.reorg = Some(ReorgPlan::new(&profile));
         self.profile = Some(profile);
         self.schedule = Some(schedule);
-        self.phase = Phase::Managed;
+        self.install_plan(solution, graph.num_layers());
+        self.stats.reserve_pages = self.reserve_pages;
+        self.stats.profiling_steps = self.cfg.profile_warmup as u64 + 1;
 
         // GPU mode: synchronize the pinned-memory profiling copies with the
         // device copies — a one-time cost of copying preallocated tensors.
@@ -925,6 +765,25 @@ impl SentinelPolicy {
         self.resolve_plan(&obs.tensors, ctx);
     }
 
+    /// Install the plan for the solved (or overridden) interval length:
+    /// the plan, its per-interval working-set table and the solver
+    /// diagnostics. One pass over the plan builds the table, so every
+    /// boundary of every managed step reads its slices instead of
+    /// re-querying the schedule.
+    fn install_plan(&mut self, solution: MilSolution, num_layers: usize) {
+        let (Some(schedule), Some(profile)) = (self.schedule.as_ref(), self.profile.as_ref()) else {
+            unreachable!("a plan is installed only after the profiling step");
+        };
+        let layers = num_layers.max(1);
+        let mil = self.cfg.mil_override.unwrap_or(solution.mil).min(layers).max(1);
+        let plan = IntervalPlan::new(mil, layers);
+        let hot = self.cfg.hot_first.then_some(profile);
+        self.interval_sets = Some(IntervalSets::build(schedule, &plan, hot));
+        self.plan = Some(plan);
+        self.stats.mil = mil;
+        self.mil_solution = Some(solution);
+    }
+
     /// Re-run the interval solver on the merged profile and swap the new
     /// plan in at this step boundary; on failure keep the old plan and
     /// degrade the divergent tensors to demand paging.
@@ -956,23 +815,10 @@ impl SentinelPolicy {
         };
         match solved {
             Ok(solution) => {
-                let mil =
-                    self.cfg.mil_override.unwrap_or(solution.mil).min(graph.num_layers().max(1)).max(1);
-                let plan = IntervalPlan::new(mil, graph.num_layers().max(1));
-                let (Some(schedule), Some(profile)) =
-                    (self.schedule.as_ref(), self.profile.as_ref())
-                else {
-                    unreachable!("a solved plan implies a finished profiling step");
-                };
-                let hot = self.cfg.hot_first.then_some(profile);
-                let sets = IntervalSets::build(schedule, &plan, hot);
                 // Reconcile in-flight work queued for the outgoing plan.
                 let now = ctx.now();
                 ctx.mem_mut().cancel_pending_migrations(now);
-                self.plan = Some(plan);
-                self.interval_sets = Some(sets);
-                self.stats.mil = mil;
-                self.mil_solution = Some(solution);
+                self.install_plan(solution, graph.num_layers());
                 self.case3_states.clear();
                 self.case2_pending.clear();
                 self.interval_mark = None;
@@ -1018,64 +864,56 @@ impl MemoryManager for SentinelPolicy {
     }
 
     fn on_train_begin(&mut self, ctx: &mut ExecCtx<'_>) {
-        self.prof_pages = vec![None; ctx.graph().num_tensors()];
+        if let Some(recorder) = self.profiling.as_mut() {
+            recorder.on_train_begin(ctx);
+        }
         self.short_fast = vec![false; ctx.graph().num_tensors()];
     }
 
     fn on_step_begin(&mut self, ctx: &mut ExecCtx<'_>) {
         self.trial_step_flag = false;
-        if self.phase == Phase::Profiling && ctx.step() == self.profiling_step_index() {
-            self.prof_recording = true;
-            ctx.mem_mut().start_profiling();
-        }
-        if self.phase == Phase::Managed && self.adapt.is_some() {
+        if let Some(recorder) = self.profiling.as_mut() {
+            recorder.on_step_begin(ctx);
+        } else if self.adapt.is_some() {
             self.adapt_step_begin(ctx);
         }
     }
 
-    fn pool_for(&mut self, tensor: &Tensor, _ctx: &ExecCtx<'_>) -> PoolSpec {
-        match self.phase {
-            // Page-aligned pool per tensor: page counts == tensor counts.
-            Phase::Profiling => PoolSpec::page_aligned(u64::from(tensor.id.0) + 1),
-            Phase::Managed => {
-                if self.cfg.coallocate {
-                    match self.reorg.as_ref() {
-                        Some(reorg) => reorg.pool_for(tensor),
-                        // Unreachable in a healthy run (the managed phase is
-                        // entered by finish_profiling, which builds the plan);
-                        // degrade to packed pooling instead of aborting.
-                        None => PoolSpec::default_packed(),
-                    }
-                } else {
-                    PoolSpec::default_packed()
-                }
-            }
+    fn pool_for(&mut self, tensor: &Tensor, ctx: &ExecCtx<'_>) -> PoolSpec {
+        if let Some(recorder) = self.profiling.as_mut() {
+            return recorder.pool_for(tensor, ctx);
+        }
+        match self.reorg.as_ref() {
+            Some(reorg) if self.cfg.coallocate => reorg.pool_for(tensor),
+            // Without co-allocation everything shares one packed pool. A
+            // missing reorg plan is unreachable in a healthy run (the
+            // managed phase is entered by finish_profiling, which builds
+            // it); degrade to packed pooling instead of aborting.
+            _ => PoolSpec::default_packed(),
         }
     }
 
     fn tier_for(&mut self, tensor: &Tensor, ctx: &ExecCtx<'_>) -> Tier {
-        match self.phase {
-            Phase::Profiling => Tier::Slow,
-            Phase::Managed => {
-                if tensor.is_short_lived() && self.cfg.reserve_short_lived {
-                    return Tier::Fast;
-                }
-                let pages = self.tensor_pages(tensor, ctx.mem().page_size());
-                if pages <= self.free_for_long_pages(ctx) {
-                    Tier::Fast
-                } else {
-                    Tier::Slow
-                }
-            }
+        if let Some(recorder) = self.profiling.as_mut() {
+            return recorder.tier_for(tensor, ctx);
+        }
+        if tensor.is_short_lived() && self.cfg.reserve_short_lived {
+            return Tier::Fast;
+        }
+        let pages = self.tensor_pages(tensor, ctx.mem().page_size());
+        if pages <= self.free_for_long_pages(ctx) {
+            Tier::Fast
+        } else {
+            Tier::Slow
         }
     }
 
     fn on_alloc(&mut self, tensor: TensorId, ctx: &mut ExecCtx<'_>) {
-        let t = ctx.tensor(tensor);
-        if self.phase == Phase::Profiling {
-            self.prof_pages[tensor.index()] = ctx.placement(tensor).map(|a| a.pages);
+        if let Some(recorder) = self.profiling.as_mut() {
+            recorder.on_alloc(tensor, ctx);
             return;
         }
+        let t = ctx.tensor(tensor);
         // A watched tensor (re)allocated mid-observation: poison its fresh
         // mapping so its accesses keep reaching the fault counter.
         if let Some(adapt) = self.adapt.as_mut() {
@@ -1105,85 +943,55 @@ impl MemoryManager for SentinelPolicy {
     }
 
     fn on_free(&mut self, tensor: TensorId, ctx: &mut ExecCtx<'_>) {
-        if self.phase == Phase::Managed {
-            // A watched tensor dying mid-observation: finalize its fault
-            // count now, before the pool reuses (and re-faults) its pages.
-            if let Some(adapt) = self.adapt.as_mut() {
-                if let Some(obs) = adapt.observing.as_mut() {
-                    if let Some(range) = obs.ranges.remove(&tensor) {
-                        let faults =
-                            ctx.mem().profiler().map_or(0, |p| p.map().count_range(range));
-                        obs.finalized.insert(tensor, (faults, range.count));
-                    }
+        if self.profiling.is_some() {
+            return;
+        }
+        // A watched tensor dying mid-observation: finalize its fault count
+        // now, before the pool reuses (and re-faults) its pages.
+        if let Some(adapt) = self.adapt.as_mut() {
+            if let Some(obs) = adapt.observing.as_mut() {
+                if let Some(range) = obs.ranges.remove(&tensor) {
+                    let faults = ctx.mem().profiler().map_or(0, |p| p.map().count_range(range));
+                    obs.finalized.insert(tensor, (faults, range.count));
                 }
             }
-            let t = ctx.tensor(tensor);
-            if t.is_short_lived() {
-                self.live_short_bytes = self.live_short_bytes.saturating_sub(t.bytes);
-                if self.short_fast.get(tensor.index()).copied().unwrap_or(false) {
-                    self.short_fast[tensor.index()] = false;
-                    let slow = ctx.tensor_bytes_in(tensor, Tier::Slow);
-                    if slow > 0 && self.violation.is_none() {
-                        self.violation = Some(format!(
-                            "short-lived tensor {tensor} had {slow} bytes in slow memory at free"
-                        ));
-                    }
+        }
+        let t = ctx.tensor(tensor);
+        if t.is_short_lived() {
+            self.live_short_bytes = self.live_short_bytes.saturating_sub(t.bytes);
+            if self.short_fast.get(tensor.index()).copied().unwrap_or(false) {
+                self.short_fast[tensor.index()] = false;
+                let slow = ctx.tensor_bytes_in(tensor, Tier::Slow);
+                if slow > 0 && self.violation.is_none() {
+                    self.violation = Some(format!(
+                        "short-lived tensor {tensor} had {slow} bytes in slow memory at free"
+                    ));
                 }
             }
         }
     }
 
     fn on_capacity_pressure(&mut self, tier: Tier, needed_pages: u64, ctx: &mut ExecCtx<'_>) -> bool {
-        if tier != Tier::Fast || self.phase != Phase::Managed {
+        if tier != Tier::Fast || self.profiling.is_some() {
             return false;
         }
         // Demote the long-lived fast-resident tensors with the farthest next
-        // use until enough pages are freed, then wait for the copies.
+        // use (counted from step start) until enough pages are freed, then
+        // wait for the copies: frames free only once a copy lands.
         let Some(schedule) = self.schedule.as_ref() else { return false };
-        let graph = ctx.graph();
-        let current_layer = 0; // order by distance from step start is enough here
-        let mut resident: Vec<(usize, TensorId, u64)> = graph
-            .tensors()
-            .iter()
-            .filter(|t| !t.is_short_lived() && ctx.is_live(t.id))
-            .filter_map(|t| {
-                let fast = ctx.tensor_bytes_in(t.id, Tier::Fast);
-                if fast == 0 {
-                    return None;
-                }
-                let next = schedule.next_use_cyclic(t.id, current_layer).unwrap_or(usize::MAX);
-                Some((next, t.id, fast))
-            })
-            .collect();
-        resident.sort_by_key(|&(next, _, _)| std::cmp::Reverse(next));
-        let page_size = ctx.mem().page_size();
-        let mut freed = 0u64;
-        let mut latest: Option<Ns> = None;
-        for (_, t, fast_bytes) in resident {
-            if freed >= needed_pages {
-                break;
-            }
-            if let Ok(Some(ready)) = ctx.migrate_tensor_urgent(t, Tier::Slow) {
-                freed += pages_for_bytes(fast_bytes, page_size);
-                latest = Some(latest.map_or(ready, |l: Ns| l.max(ready)));
-            }
-        }
-        match latest {
-            Some(ready) => {
-                let before = ctx.now();
-                ctx.stall_until(ready); // frames free only once the copy lands
-                self.stats.stall_pressure_ns += ctx.now() - before;
-                true
-            }
-            None => false,
-        }
+        let before = ctx.now();
+        let demoted = ctx.demote_farthest_first(needed_pages, |t| {
+            (!t.is_short_lived()).then(|| schedule.next_use_cyclic(t.id, 0).unwrap_or(usize::MAX))
+        });
+        self.stats.stall_pressure_ns += ctx.now() - before;
+        !demoted.is_empty()
     }
 
     fn before_access(&mut self, tensor: TensorId, _kind: sentinel_mem::AccessKind, ctx: &mut ExecCtx<'_>) {
         // GPU platform: compute cannot read host memory in place, so any
         // tensor still (partly) in slow memory when touched must be faulted
         // into device memory first — evicting the farthest-needed residents.
-        if self.phase != Phase::Managed
+        if self.profiling.is_some()
             || ctx.mem().config().slow_directly_accessible
             || !ctx.is_live(tensor)
             || ctx.tensor_bytes_in(tensor, Tier::Slow) == 0
@@ -1228,10 +1036,8 @@ impl MemoryManager for SentinelPolicy {
 
     fn before_layer(&mut self, layer: usize, ctx: &mut ExecCtx<'_>) {
         self.current_layer_hint = layer;
-        if self.phase == Phase::Profiling {
-            if self.prof_recording {
-                self.prof_layer_start = (ctx.now(), ctx.breakdown().profiling_fault_ns);
-            }
+        if let Some(recorder) = self.profiling.as_mut() {
+            recorder.before_layer(layer, ctx);
             return;
         }
         if let Some(adapt) = self.adapt.as_mut() {
@@ -1271,59 +1077,51 @@ impl MemoryManager for SentinelPolicy {
     }
 
     fn after_layer(&mut self, layer: usize, ctx: &mut ExecCtx<'_>) {
-        match self.phase {
-            Phase::Profiling => {
-                if self.prof_recording {
-                    let wall = ctx.now() - self.prof_layer_start.0;
-                    let fault = ctx.breakdown().profiling_fault_ns - self.prof_layer_start.1;
-                    self.prof_layer_times.push(wall.saturating_sub(fault));
-                }
-            }
-            Phase::Managed => {
-                if let Some(adapt) = self.adapt.as_mut() {
-                    if let Some(obs) = adapt.observing.as_mut() {
-                        if let Some((l, t0, f0)) = obs.layer_mark.take() {
-                            if l == layer {
-                                let wall = ctx.now() - t0;
-                                let fault = ctx.breakdown().profiling_fault_ns - f0;
-                                obs.layer_times.push((l, wall.saturating_sub(fault)));
-                            } else {
-                                obs.layer_mark = Some((l, t0, f0));
-                            }
-                        }
+        if let Some(recorder) = self.profiling.as_mut() {
+            recorder.after_layer(layer, ctx);
+            return;
+        }
+        if let Some(adapt) = self.adapt.as_mut() {
+            if let Some(obs) = adapt.observing.as_mut() {
+                if let Some((l, t0, f0)) = obs.layer_mark.take() {
+                    if l == layer {
+                        let wall = ctx.now() - t0;
+                        let fault = ctx.breakdown().profiling_fault_ns - f0;
+                        obs.layer_times.push((l, wall.saturating_sub(fault)));
+                    } else {
+                        obs.layer_mark = Some((l, t0, f0));
                     }
                 }
-                let (Some(plan), Some(sets)) = (self.plan.as_ref(), self.interval_sets.as_ref())
-                else {
-                    return;
-                };
-                let k = plan.interval_of(layer);
-                let window = if self.cfg.lookahead { k + 2 } else { k + 1 };
-                let boundary = window * plan.mil;
-                // Eviction exists to make room for the upcoming prefetch
-                // (Section IV-D); when free space already covers the next
-                // interval's demand, moving tensors out only wastes
-                // bandwidth.
-                let next = (k + 1) % plan.num_intervals();
-                let demand: u64 = sets
-                    .sorted(next)
-                    .iter()
-                    .filter(|&&t| ctx.is_live(t))
-                    .map(|&t| ctx.tensor_bytes_in(t, Tier::Slow))
-                    .sum();
-                let free_bytes = self.free_for_long_pages(ctx) * ctx.mem().page_size();
-                if free_bytes < demand {
-                    self.evict_after_layer(layer, boundary, ctx);
-                }
             }
+        }
+        let (Some(plan), Some(sets)) = (self.plan.as_ref(), self.interval_sets.as_ref()) else {
+            return;
+        };
+        let k = plan.interval_of(layer);
+        let window = if self.cfg.lookahead { k + 2 } else { k + 1 };
+        let boundary = window * plan.mil;
+        // Eviction exists to make room for the upcoming prefetch (Section
+        // IV-D); when free space already covers the next interval's demand,
+        // moving tensors out only wastes bandwidth.
+        let next = (k + 1) % plan.num_intervals();
+        let demand: u64 = sets
+            .sorted(next)
+            .iter()
+            .filter(|&&t| ctx.is_live(t))
+            .map(|&t| ctx.tensor_bytes_in(t, Tier::Slow))
+            .sum();
+        let free_bytes = self.free_for_long_pages(ctx) * ctx.mem().page_size();
+        if free_bytes < demand {
+            self.evict_after_layer(layer, boundary, ctx);
         }
     }
 
     fn on_step_end(&mut self, ctx: &mut ExecCtx<'_>) {
-        if self.phase == Phase::Profiling {
-            if self.prof_recording {
-                self.prof_recording = false;
-                self.finish_profiling(ctx);
+        if let Some(recorder) = self.profiling.as_mut() {
+            recorder.on_step_end(ctx);
+            if let Some(profile) = recorder.take_report() {
+                self.profiling = None;
+                self.finish_profiling(profile, ctx);
             }
             return;
         }

@@ -184,9 +184,6 @@ impl SentinelRuntime {
         F: FnMut(RunEvent<'_>) -> bool,
     {
         let mut mem = MemorySystem::new(self.hm.clone());
-        if let Some(retry) = self.cfg.retry {
-            mem.set_retry_policy(retry);
-        }
         if let Some((profile, seed)) = &self.fault {
             mem.set_fault_injector(FaultInjector::new(*profile, *seed));
         }

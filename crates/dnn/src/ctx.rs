@@ -5,7 +5,8 @@ use crate::error::ExecError;
 use crate::graph::Graph;
 use crate::report::StepBreakdown;
 use crate::tensor::{Tensor, TensorId};
-use sentinel_mem::{AccessKind, AccessReport, MemError, MemorySystem, Ns, Tier};
+use sentinel_mem::{pages_for_bytes, AccessKind, AccessReport, MemError, MemorySystem, Ns, Tier};
+use std::cmp::Reverse;
 
 /// Mutable state of a training run: simulated clock, memory system,
 /// allocator and per-tensor placements.
@@ -242,6 +243,49 @@ impl<'g> ExecCtx<'g> {
             latest = Some(latest.map_or(ticket.ready_at, |l: Ns| l.max(ticket.ready_at)));
         }
         Ok(latest)
+    }
+
+    /// Demote fast-resident tensors to slow memory on the urgent lane,
+    /// farthest next use first, until `pages` fast pages are freed; then
+    /// stall until the last copy lands. `next_use` ranks a live tensor by
+    /// its next use (`usize::MAX` for never) or returns `None` to spare it;
+    /// ties go to the lower id. Returns the demoted tensors in demotion
+    /// order, each with the fast pages it held when the order was built.
+    pub fn demote_farthest_first(
+        &mut self,
+        pages: u64,
+        next_use: impl Fn(&Tensor) -> Option<usize>,
+    ) -> Vec<(TensorId, u64)> {
+        let page_size = self.mem.page_size();
+        let mut victims: Vec<(Reverse<usize>, TensorId, u64)> = self
+            .graph
+            .tensors()
+            .iter()
+            .filter(|t| self.is_live(t.id))
+            .filter_map(|t| {
+                let next = next_use(t)?;
+                let fast = self.tensor_bytes_in(t.id, Tier::Fast);
+                (fast > 0).then(|| (Reverse(next), t.id, pages_for_bytes(fast, page_size)))
+            })
+            .collect();
+        victims.sort_unstable();
+        let mut freed = 0;
+        let mut latest: Option<Ns> = None;
+        let mut demoted = Vec::new();
+        for (_, v, held) in victims {
+            if freed >= pages {
+                break;
+            }
+            if let Ok(Some(ready)) = self.migrate_tensor_urgent(v, Tier::Slow) {
+                freed += held;
+                latest = Some(latest.map_or(ready, |l| l.max(ready)));
+                demoted.push((v, held));
+            }
+        }
+        if let Some(ready) = latest {
+            self.stall_until(ready);
+        }
+        demoted
     }
 
     /// Bytes of `t` currently resident in `tier` (0 if not allocated).

@@ -69,7 +69,7 @@ pub use migrate::{Direction, InFlight, MigrationEngine, MigrationTicket};
 pub use page::{pages_for_bytes, PageRange, PAGE_SIZE_DEFAULT};
 pub use profiler::{PageAccessMap, PageAccessProfiler};
 pub use stats::{BandwidthSample, MemStats, StatsTimeline};
-pub use system::{AccessKind, AccessReport, MemorySystem, RetryPolicy, SanitizerMode};
+pub use system::{AccessKind, AccessReport, MemorySystem, SanitizerMode};
 // Re-exported so the fault hooks' types are nameable without a direct
 // sentinel-util dependency.
 pub use sentinel_util::fault::{FaultCounters, FaultInjector, FaultProfile};

@@ -49,57 +49,13 @@ pub struct AccessReport {
     pub bytes_cache: u64,
 }
 
-/// How failed migration batches are retried.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts per batch (the first issue included); after the last
-    /// failed attempt the migration is abandoned and its pages stay in the
-    /// source tier. A value of 0 behaves like 1.
-    pub max_attempts: u32,
-    /// Backoff before the first retry; doubles with each further attempt.
-    pub backoff_ns: Ns,
-}
+/// Attempts per migration batch, counting the first; after the last failed
+/// attempt the migration is abandoned and its pages stay in the source tier.
+const RETRY_MAX_ATTEMPTS: u32 = 3;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy { max_attempts: 3, backoff_ns: 50_000 }
-    }
-}
-
-impl RetryPolicy {
-    /// Read a retry-policy override from the environment:
-    /// `SENTINEL_RETRY_MAX_ATTEMPTS` (decimal) and
-    /// `SENTINEL_RETRY_BACKOFF_NS` (decimal nanoseconds). Setting either
-    /// variable activates the override; an absent knob keeps its
-    /// [`RetryPolicy::default`] value. Mirrors the `SENTINEL_FAULT_*`
-    /// conventions: `None` when neither variable is set, a hard error (never
-    /// a silent fallback) when one is malformed.
-    ///
-    /// # Errors
-    ///
-    /// A message naming the malformed variable.
-    pub fn from_env() -> Result<Option<RetryPolicy>, String> {
-        let attempts = std::env::var("SENTINEL_RETRY_MAX_ATTEMPTS").ok();
-        let backoff = std::env::var("SENTINEL_RETRY_BACKOFF_NS").ok();
-        if attempts.is_none() && backoff.is_none() {
-            return Ok(None);
-        }
-        let mut policy = RetryPolicy::default();
-        if let Some(raw) = attempts {
-            let raw = raw.trim();
-            policy.max_attempts = raw
-                .parse::<u32>()
-                .map_err(|_| format!("SENTINEL_RETRY_MAX_ATTEMPTS: not an integer: {raw:?}"))?;
-        }
-        if let Some(raw) = backoff {
-            let raw = raw.trim();
-            policy.backoff_ns = raw
-                .parse::<Ns>()
-                .map_err(|_| format!("SENTINEL_RETRY_BACKOFF_NS: not an integer: {raw:?}"))?;
-        }
-        Ok(Some(policy))
-    }
-}
+/// Backoff before the first retry of a failed migration batch; doubles with
+/// each further attempt.
+const RETRY_BACKOFF_NS: Ns = 50_000;
 
 /// Attribution of slow-tier main-memory accesses to caller-defined buckets
 /// (the Sentinel policy uses one bucket per layer). The owner points the
@@ -182,7 +138,6 @@ pub struct MemorySystem {
     /// *below* current usage (the arbiter shrank it); allocation then sees
     /// zero free fast pages until the tenant demotes down to the quota.
     fast_quota_pages: Option<u64>,
-    retry: RetryPolicy,
     sanitizer: SanitizerMode,
     /// First invariant violation found by the sanitizer, latched until read.
     violation: Option<MemError>,
@@ -220,7 +175,6 @@ impl MemorySystem {
             unmapped_accesses: 0,
             injector: None,
             fast_quota_pages: None,
-            retry: RetryPolicy::default(),
             sanitizer: SanitizerMode::default_mode(),
             violation: None,
             sanitize_events: 0,
@@ -824,8 +778,9 @@ impl MemorySystem {
     /// Apply every migration completed by `now`.
     ///
     /// Batches that completed with an injected failure are re-enqueued with
-    /// exponential backoff (see [`RetryPolicy`]); the loop keeps draining so
-    /// a retry whose backoff already elapsed is resolved in the same poll.
+    /// exponential backoff (3 attempts, 50 µs base backoff); the loop keeps
+    /// draining so a retry whose backoff already elapsed is resolved in the
+    /// same poll.
     pub fn poll(&mut self, now: Ns) {
         self.last_now = self.last_now.max(now);
         if let Some(inj) = &mut self.injector {
@@ -907,8 +862,8 @@ impl MemorySystem {
     }
 
     /// A batch whose copy failed: no pages moved. Re-enqueue the parts still
-    /// in flight with backoff, or — once [`RetryPolicy::max_attempts`] is
-    /// exhausted — abandon the move, releasing the destination reservation
+    /// in flight with backoff, or — once the attempts are exhausted —
+    /// abandon the move, releasing the destination reservation
     /// and leaving the pages in their source tier (the paper's "serve it
     /// from slow memory" degradation, with the stall time already charged
     /// to the channel). Returns `true` when the batch was abandoned.
@@ -928,12 +883,11 @@ impl MemorySystem {
         if subs.is_empty() {
             return false; // fully aborted while in flight
         }
-        let attempts = self.retry.max_attempts.max(1);
-        if done.attempt + 1 < attempts {
+        if done.attempt + 1 < RETRY_MAX_ATTEMPTS {
             if let Some(inj) = &mut self.injector {
                 inj.counters_mut().migration_retries += 1;
             }
-            let backoff = self.retry.backoff_ns.saturating_mul(1u64 << done.attempt.min(16));
+            let backoff = RETRY_BACKOFF_NS.saturating_mul(1u64 << done.attempt.min(16));
             let when = done.ready_at.saturating_add(backoff);
             if self.tracer.enabled() {
                 self.tracer.instant(
@@ -978,7 +932,7 @@ impl MemorySystem {
                         ("id", Json::U64(done.id)),
                         ("first", Json::U64(done.range.first)),
                         ("pages", Json::U64(pages)),
-                        ("attempts", Json::U64(u64::from(attempts))),
+                        ("attempts", Json::U64(u64::from(RETRY_MAX_ATTEMPTS))),
                         ("direction", Json::Str(direction_name(done.direction).into())),
                     ],
                 );
@@ -1351,17 +1305,6 @@ impl MemorySystem {
     #[must_use]
     pub fn fault_counters(&self) -> FaultCounters {
         self.injector.as_ref().map(|i| *i.counters()).unwrap_or_default()
-    }
-
-    /// Override how failed migration batches are retried.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.retry = policy;
-    }
-
-    /// The active migration retry policy.
-    #[must_use]
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 
     // -------------------------------------------------------------- tracing

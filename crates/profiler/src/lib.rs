@@ -3,19 +3,22 @@
 //! Implements the paper's Section III profiling framework over the simulated
 //! substrate:
 //!
-//! * [`Profiler`] runs one training step with page-aligned per-tensor
-//!   allocation in slow memory while the OS layer counts main-memory
-//!   accesses through poison faults; the result is a [`ProfileReport`] with
-//!   per-tensor access counts, sizes, lifetimes and per-layer timings.
+//! * [`ProfilingPolicy`] is the profiling step as a policy: page-aligned
+//!   per-tensor allocation in slow memory while the OS layer counts
+//!   main-memory accesses through poison faults; when the profiled step
+//!   ends it builds a [`ProfileReport`] with per-tensor access counts,
+//!   sizes, lifetimes and per-layer timings. [`Profiler`] runs it on a
+//!   fresh memory system.
 //! * [`characterize`] turns a profile into the Observation 1–2 statistics
 //!   (small/short-lived tensor fractions, hotness histogram).
 //! * [`analyze_false_sharing`] reruns profiling under TensorFlow-style
 //!   packed allocation and quantifies Observation 3: cold tensor bytes that
 //!   page-level profiling hides inside hotter pages.
 //!
-//! The [`ProfileReport`] is the input Sentinel's runtime (the
-//! `sentinel-core` crate) uses for data reorganization and migration
-//! planning.
+//! Sentinel's runtime (the `sentinel-core` crate) profiles through the same
+//! [`ProfilingPolicy`]: it forwards its hooks to the recorder until the
+//! profiled step ends, then plans data reorganization and migration from
+//! the recorder's [`ProfileReport`].
 
 mod characterize;
 mod falseshare;
@@ -25,4 +28,4 @@ mod run;
 pub use characterize::{characterize, Characterization, HotBucket};
 pub use falseshare::{analyze_false_sharing, FalseSharingReport};
 pub use profile::{ProfileReport, TensorDelta, TensorProfile};
-pub use run::Profiler;
+pub use run::{Profiler, ProfilingPolicy};

@@ -12,30 +12,60 @@ use crate::profile::{ProfileReport, TensorProfile};
 use sentinel_dnn::{ExecCtx, ExecError, Executor, Graph, MemoryManager, PoolSpec, Tensor, TensorId};
 use sentinel_mem::{HmConfig, MemorySystem, Ns, PageRange, Tier};
 
-/// Policy used during the profiling phase: page-aligned per-tensor pools,
-/// slow-tier placement, per-layer timing marks.
+/// The profiling step as a policy: page-aligned per-tensor pools, slow-tier
+/// placement and per-layer timing marks. Steps before the profiled one run
+/// the same way, unprofiled (warmup); the profiled step runs under
+/// poison-fault counting and its end builds the [`ProfileReport`].
+///
+/// [`Profiler::profile`] drives it alone; Sentinel's runtime forwards its
+/// own hooks to it until the report is ready.
 #[derive(Debug)]
-struct ProfilingPolicy {
+pub struct ProfilingPolicy {
+    /// Index of the step to profile.
+    step: usize,
     pages_of: Vec<Option<PageRange>>,
     layer_start: (Ns, Ns),
     layer_times: Vec<Ns>,
-    record: bool,
+    /// Clock at the start of the profiled step, while it runs.
+    step_start: Option<Ns>,
+    report: Option<ProfileReport>,
 }
 
 impl ProfilingPolicy {
-    fn new(num_tensors: usize) -> Self {
+    /// A recorder that profiles step `step` (0-based); earlier steps are
+    /// unprofiled warmup.
+    #[must_use]
+    pub fn new(step: usize) -> Self {
         ProfilingPolicy {
-            pages_of: vec![None; num_tensors],
+            step,
+            pages_of: Vec::new(),
             layer_start: (0, 0),
             layer_times: Vec::new(),
-            record: false,
+            step_start: None,
+            report: None,
         }
+    }
+
+    /// The report, once the profiled step has ended. Take-once.
+    pub fn take_report(&mut self) -> Option<ProfileReport> {
+        self.report.take()
     }
 }
 
 impl MemoryManager for ProfilingPolicy {
     fn name(&self) -> &str {
         "profiling"
+    }
+
+    fn on_train_begin(&mut self, ctx: &mut ExecCtx<'_>) {
+        self.pages_of = vec![None; ctx.graph().num_tensors()];
+    }
+
+    fn on_step_begin(&mut self, ctx: &mut ExecCtx<'_>) {
+        if ctx.step() == self.step {
+            self.step_start = Some(ctx.now());
+            ctx.mem_mut().start_profiling();
+        }
     }
 
     fn pool_for(&mut self, tensor: &Tensor, _ctx: &ExecCtx<'_>) -> PoolSpec {
@@ -50,20 +80,59 @@ impl MemoryManager for ProfilingPolicy {
     }
 
     fn on_alloc(&mut self, tensor: TensorId, ctx: &mut ExecCtx<'_>) {
-        self.pages_of[tensor.index()] =
-            ctx.placement(tensor).map(|a| a.pages);
+        self.pages_of[tensor.index()] = ctx.placement(tensor).map(|a| a.pages);
     }
 
     fn before_layer(&mut self, _layer: usize, ctx: &mut ExecCtx<'_>) {
-        self.layer_start = (ctx.now(), ctx.breakdown().profiling_fault_ns);
+        if self.step_start.is_some() {
+            self.layer_start = (ctx.now(), ctx.breakdown().profiling_fault_ns);
+        }
     }
 
     fn after_layer(&mut self, _layer: usize, ctx: &mut ExecCtx<'_>) {
-        if self.record {
+        if self.step_start.is_some() {
             let wall = ctx.now() - self.layer_start.0;
             let fault = ctx.breakdown().profiling_fault_ns - self.layer_start.1;
             self.layer_times.push(wall.saturating_sub(fault));
         }
+    }
+
+    fn on_step_end(&mut self, ctx: &mut ExecCtx<'_>) {
+        let Some(start) = self.step_start.take() else { return };
+        let profiling_step_ns = ctx.now() - start;
+        let map = ctx.mem_mut().stop_profiling();
+        let graph = ctx.graph();
+        let tensors = graph
+            .tensors()
+            .iter()
+            .map(|t| {
+                let pages = self.pages_of[t.id.index()];
+                let page_faults = pages.map_or(0, |r| map.count_range(r));
+                let page_count = pages.map_or(0, |r| r.count);
+                TensorProfile {
+                    id: t.id,
+                    bytes: t.bytes,
+                    kind: t.kind,
+                    short_lived: t.is_short_lived(),
+                    layer_span: t.layer_span(),
+                    mm_accesses: page_faults.div_ceil(page_count.max(1)),
+                    page_faults,
+                    pages: page_count,
+                }
+            })
+            .collect();
+        let layer_times_ns = std::mem::take(&mut self.layer_times);
+        self.report = Some(ProfileReport {
+            model: graph.name().to_owned(),
+            page_size: ctx.mem().page_size(),
+            tensors,
+            layer_time_prefix: ProfileReport::prefix_sums(&layer_times_ns),
+            layer_times_ns,
+            profiling_step_ns,
+            faults: map.total(),
+            peak_short_lived_bytes: graph.peak_short_lived_bytes(),
+            peak_live_bytes: graph.peak_live_bytes(),
+        });
     }
 }
 
@@ -110,51 +179,12 @@ impl Profiler {
     /// Propagates [`ExecError`] if the graph cannot execute (e.g. slow
     /// memory smaller than the model's peak footprint).
     pub fn profile(&self, graph: &Graph) -> Result<ProfileReport, ExecError> {
-        let mem = MemorySystem::new(self.cfg.clone());
-        let mut exec = Executor::new(graph, mem);
-        let mut policy = ProfilingPolicy::new(graph.num_tensors());
-
-        exec.train_begin(&mut policy)?;
-        for _ in 0..self.warmup_steps {
+        let mut exec = Executor::new(graph, MemorySystem::new(self.cfg.clone()));
+        let mut policy = ProfilingPolicy::new(self.warmup_steps);
+        for _ in 0..=self.warmup_steps {
             exec.run_step(&mut policy)?;
         }
-
-        policy.record = true;
-        exec.ctx_mut().mem_mut().start_profiling();
-        let step = exec.run_step(&mut policy)?;
-        let map = exec.ctx_mut().mem_mut().stop_profiling();
-
-        let tensors = graph
-            .tensors()
-            .iter()
-            .map(|t| {
-                let pages = policy.pages_of[t.id.index()];
-                let page_faults = pages.map_or(0, |r| map.count_range(r));
-                let page_count = pages.map_or(0, |r| r.count);
-                TensorProfile {
-                    id: t.id,
-                    bytes: t.bytes,
-                    kind: t.kind,
-                    short_lived: t.is_short_lived(),
-                    layer_span: t.layer_span(),
-                    mm_accesses: page_faults.div_ceil(page_count.max(1)),
-                    page_faults,
-                    pages: page_count,
-                }
-            })
-            .collect();
-
-        Ok(ProfileReport {
-            model: graph.name().to_owned(),
-            page_size: self.cfg.page_size,
-            tensors,
-            layer_time_prefix: ProfileReport::prefix_sums(&policy.layer_times),
-            layer_times_ns: policy.layer_times,
-            profiling_step_ns: step.duration_ns,
-            faults: step.faults,
-            peak_short_lived_bytes: graph.peak_short_lived_bytes(),
-            peak_live_bytes: graph.peak_live_bytes(),
-        })
+        Ok(policy.take_report().expect("the profiled step builds its report"))
     }
 }
 
@@ -221,7 +251,7 @@ mod tests {
         let cfg = HmConfig::testing().with_slow_capacity(1 << 30);
         let mem = MemorySystem::new(cfg);
         let mut exec = Executor::new(&g, mem);
-        let mut policy = ProfilingPolicy::new(g.num_tensors());
+        let mut policy = ProfilingPolicy::new(0);
         exec.run_step(&mut policy).unwrap();
         assert_eq!(exec.ctx().mem().used_pages(Tier::Fast), 0);
     }

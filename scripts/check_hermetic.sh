@@ -11,6 +11,9 @@ cargo build --release --offline
 echo "== offline test suite (every workspace test target) =="
 cargo test -q --offline
 
+echo "== rustdoc: public docs build without warnings (dangling links fail) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== chaos smoke: fixed-seed faulty run completes end to end =="
 SENTINEL_FAULT_SEED=0xFA17 SENTINEL_FAULT_PROFILE=light \
     cargo run -q --offline --release -p sentinel-bench --bin run_experiments -- --fast --jobs 2 chaos

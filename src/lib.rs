@@ -23,7 +23,7 @@
 //! * [`baselines`] — the eight comparison systems from the paper's
 //!   evaluation (IAL, AutoTM, vDNN, SwapAdvisor, Capuchin, UM, first-touch
 //!   NUMA and Memory Mode).
-//! * [`bench`] — the experiment registry regenerating every table and
+//! * [`bench`](mod@bench) — the experiment registry regenerating every table and
 //!   figure of the paper, runnable serially or on a worker pool.
 //! * [`serve`] — the `sentineld` daemon: a framed JSON-over-TCP wire
 //!   protocol serving placement-plan queries and live-streamed simulation
