@@ -7,6 +7,10 @@
 //! accesses pass through a page-granular set-associative LRU filter: hits are
 //! served at cache speed and are invisible to the page-access profiler,
 //! misses go to the backing tier and are counted.
+//!
+//! Each set is stored as its tags in recency order, least recently used
+//! first, with empty slots as an [`EMPTY`] tag at the front: a hit moves its
+//! tag to the back, and a miss drops the front tag and appends the page.
 
 use crate::{Ns, PageRange};
 
@@ -69,19 +73,15 @@ pub enum CacheOutcome {
     Miss,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    /// LRU stamp: larger == more recently used.
-    stamp: u64,
-}
+/// Tag of an empty slot. No page carries it: a [`PageRange`] ends at or
+/// below `u64::MAX`, so its pages lie below it.
+const EMPTY: u64 = u64::MAX;
 
 /// Outcome of a batched [`CacheFilter::probe_range`].
 ///
 /// Equivalent to probing every page of the range in ascending order: the
-/// counters and final cache state are identical, but set/base derivation and
-/// LRU bookkeeping are shared across the whole range.
+/// counters and final cache state are identical, but each set the range
+/// touches is resolved in one pass.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RangeProbe {
     /// Pages of the range that hit, in ascending order. Hits are bounded by
@@ -112,8 +112,9 @@ impl RangeProbe {
 pub struct CacheFilter {
     spec: CacheFilterSpec,
     sets: usize,
-    lines: Vec<Line>,
-    tick: u64,
+    /// `sets × ways` tags; set `s` is `tags[s * ways..][..ways]`, in
+    /// recency order (LRU first, [`EMPTY`] slots at the front).
+    tags: Vec<u64>,
     hits: u64,
     misses: u64,
 }
@@ -123,14 +124,7 @@ impl CacheFilter {
     #[must_use]
     pub fn new(spec: CacheFilterSpec) -> Self {
         let sets = spec.sets();
-        CacheFilter {
-            spec,
-            sets,
-            lines: vec![Line { tag: 0, valid: false, stamp: 0 }; sets * spec.ways.max(1)],
-            tick: 0,
-            hits: 0,
-            misses: 0,
-        }
+        CacheFilter { spec, sets, tags: vec![EMPTY; sets * spec.ways.max(1)], hits: 0, misses: 0 }
     }
 
     /// The configuration this cache was built from.
@@ -142,192 +136,121 @@ impl CacheFilter {
     /// Probe (and update) the cache for a page, returning hit or miss.
     /// A miss installs the page, evicting the set's LRU victim.
     pub fn probe(&mut self, page: u64) -> CacheOutcome {
-        self.tick += 1;
+        debug_assert_ne!(page, EMPTY, "page u64::MAX is the empty-slot tag");
         let ways = self.spec.ways.max(1);
-        let set = (page as usize) % self.sets;
-        let base = set * ways;
-        let slots = &mut self.lines[base..base + ways];
-
-        if let Some(line) = slots.iter_mut().find(|l| l.valid && l.tag == page) {
-            line.stamp = self.tick;
-            self.hits += 1;
-            return CacheOutcome::Hit;
+        let base = (page as usize) % self.sets * ways;
+        let outcome = touch(&mut self.tags[base..base + ways], page);
+        match outcome {
+            CacheOutcome::Hit => self.hits += 1,
+            CacheOutcome::Miss => self.misses += 1,
         }
-
-        // Miss: install into invalid slot or LRU victim.
-        self.misses += 1;
-        let victim = &mut slots[victim_index(slots)];
-        victim.tag = page;
-        victim.valid = true;
-        victim.stamp = self.tick;
-        CacheOutcome::Miss
+        outcome
     }
 
     /// Probe every page of a contiguous range, batched.
     ///
-    /// Counters and final cache state are byte-identical to calling
-    /// [`CacheFilter::probe`] for each page in ascending order (the
-    /// equivalence property suite enforces this). Two optimizations apply:
-    /// set and base indices are derived once per set rather than per page,
-    /// and — the large-range bypass — once a set holds only lines touched by
-    /// this range, every remaining page of the range mapping to that set is
-    /// a compulsory miss (range pages are distinct), so the tail of the
-    /// per-set page sequence is resolved in O(ways) instead of O(pages).
+    /// Counters and final cache state are identical to calling
+    /// [`CacheFilter::probe`] for each page in ascending order, but each
+    /// set the range touches is resolved in one O(ways) pass. The range's
+    /// pages in a set are `p_i = p_0 + i·sets`, all distinct, so every probe
+    /// moves a page the range has not touched yet to the MRU end, and every
+    /// miss evicts from the LRU end. A line at rank `r` (LRU = 0) holding
+    /// `p_i` is still cached at probe `i` iff the `i - a - h` misses before
+    /// it have not evicted it, i.e. iff `i - a - h <= r - a`: `a` and `h`
+    /// count the earlier hits on lines ranked below and above `r`, and each
+    /// hit below `r` both saves a miss and takes a line out of the eviction
+    /// order ahead of it. So it hits iff `i <= r + h`, and every other probe
+    /// misses. The set ends as its lines outside the range, in order, then
+    /// `p_0, p_1, …`, keeping the last `ways`: a line in the range that does
+    /// not hit was evicted, so dropping it first changes nothing kept.
     pub fn probe_range(&mut self, range: PageRange) -> RangeProbe {
-        let mut out = RangeProbe::default();
-        if range.is_empty() {
-            return out;
-        }
-        let ways = self.spec.ways.max(1);
-        // Small ranges: the per-page loop is cheap and skips the per-set
-        // bookkeeping. Any threshold is correctness-neutral; 2× the line
-        // count is where the per-set pass starts winning.
-        if range.count < 2 * self.lines.len() as u64 {
-            for p in range.iter() {
-                match self.probe(p) {
-                    CacheOutcome::Hit => out.hit_pages.push(p),
-                    CacheOutcome::Miss => out.misses += 1,
-                }
-            }
-            return out;
-        }
-
-        let tick0 = self.tick;
-        self.tick += range.count;
         let sets = self.sets as u64;
-        // Scratch reused across sets; `ours[j]` marks slots whose line was
-        // installed or refreshed by this range (such lines can never match a
-        // later, strictly larger page of the range).
-        let mut ours = vec![false; ways];
-        let mut order: Vec<usize> = Vec::with_capacity(ways);
-        for set in 0..sets {
-            // Pages of `range` in this set form an arithmetic progression
-            // `first_p, first_p + sets, ...` below `range.end()`.
-            let offset = (set + sets - range.first % sets) % sets;
-            let first_p = range.first + offset;
-            if first_p >= range.end() {
-                continue;
-            }
-            let k = (range.end() - first_p).div_ceil(sets);
-            let base = set as usize * ways;
-            let slots = &mut self.lines[base..base + ways];
-
-            // Victim rotation order if every page were to miss: ascending
-            // (valid, stamp), ties broken by slot index (the sort is stable),
-            // matching `victim_index`'s first-minimum choice. Installs always
-            // stamp above `tick0`, so pre-existing lines keep their ranks.
-            order.clear();
-            order.extend(0..ways);
-            order.sort_by_key(|&j| victim_key(&slots[j]));
-
-            // Closed-form check: a pre-existing line can hit only if its page
-            // is probed no later than the rotation evicts it — probe index
-            // `(tag - first_p) / sets` at most its victim rank (probe `i`
-            // happens before eviction `i` lands). If no line qualifies,
-            // "every page misses" is self-consistent (the first hit would
-            // have to happen after its own eviction), and the whole set
-            // resolves below without the faithful per-page phase.
-            let may_hit = order.iter().enumerate().any(|(r, &j)| {
-                let l = &slots[j];
-                l.valid
-                    && first_p <= l.tag
-                    && l.tag < range.end()
-                    && (l.tag - first_p) / sets <= r as u64
-            });
-
-            // Phase 1: faithful per-page simulation until every line in the
-            // set belongs to this range (or the pages run out).
-            let mut idx = 0u64;
-            if may_hit {
-                ours.fill(false);
-                let mut ours_count = 0;
-                while idx < k && ours_count < ways {
-                    let p = first_p + idx * sets;
-                    let stamp = tick0 + (p - range.first) + 1;
-                    let j = match slots.iter().position(|l| l.valid && l.tag == p) {
-                        Some(j) => {
-                            slots[j].stamp = stamp;
-                            self.hits += 1;
-                            out.hit_pages.push(p);
-                            j
-                        }
-                        None => {
-                            self.misses += 1;
-                            out.misses += 1;
-                            let j = victim_index(slots);
-                            slots[j] = Line { tag: p, valid: true, stamp };
-                            j
-                        }
-                    };
-                    if !ours[j] {
-                        ours[j] = true;
-                        ours_count += 1;
-                    }
-                    idx += 1;
+        let (q, rem) = (range.count / sets, range.count % sets);
+        let mut out = RangeProbe::default();
+        // Where sets hold several pages each, `(next, end)` of each set's
+        // hits in `out.hit_pages`, for the merge below.
+        let mut runs = Vec::new();
+        for (t, set) in (0..).zip(self.touched_sets(range)) {
+            let (p0, k) = (range.first + t, q + u64::from(t < rem));
+            let first_hit = out.hit_pages.len();
+            if k == 1 {
+                if touch(set, p0) == CacheOutcome::Hit {
+                    out.hit_pages.push(p0);
                 }
-                // Phase 2's rotation starts from the stamps phase 1 left.
-                order.clear();
-                order.extend(0..ways);
-                order.sort_by_key(|&j| victim_key(&slots[j]));
+            } else {
+                resolve_set(set, p0, k, range.end() - p0, sets, &mut out.hit_pages);
             }
-
-            // Phase 2: the remaining pages are compulsory misses. Victims
-            // rotate through the slots in ascending-stamp order, so the set
-            // ends up holding the last `ways` pages of the progression.
-            let m = k - idx;
-            if m == 0 {
-                continue;
-            }
-            self.misses += m;
-            out.misses += m;
-            let installs = m.min(ways as u64) as usize;
-            for (r, &j) in order.iter().enumerate().take(installs) {
-                // Installs land in order[r] at phase-2 indices ≡ r (mod ways);
-                // the slot keeps the last such page.
-                let r = r as u64;
-                let i_last = r + (m - 1 - r) / ways as u64 * ways as u64;
-                let p = first_p + (idx + i_last) * sets;
-                slots[j] = Line { tag: p, valid: true, stamp: tick0 + (p - range.first) + 1 };
+            if range.count > sets && out.hit_pages.len() > first_hit {
+                runs.push((first_hit, out.hit_pages.len()));
             }
         }
-        out.hit_pages.sort_unstable();
+        // Sets are visited in page order, so the hits are ascending unless
+        // a set holds several pages. Then the pages below
+        // `first + (i + 1)·sets` are those of index `i` or lower: round `i`
+        // takes the index-`i` hit, if any, from every set in turn.
+        if !runs.is_empty() {
+            let n = out.hit_pages.len();
+            let by_set = std::mem::replace(&mut out.hit_pages, Vec::with_capacity(n));
+            let mut below = range.first;
+            while !runs.is_empty() {
+                below += sets;
+                runs.retain_mut(|(next, end)| {
+                    if by_set[*next] < below {
+                        out.hit_pages.push(by_set[*next]);
+                        *next += 1;
+                    }
+                    next < end
+                });
+            }
+        }
+        out.misses = range.count - out.hits();
+        self.hits += out.hits();
+        self.misses += out.misses;
         out
     }
 
     /// Invalidate a page (e.g. after it is unmapped or migrated).
     pub fn invalidate(&mut self, page: u64) {
         let ways = self.spec.ways.max(1);
-        let set = (page as usize) % self.sets;
-        let base = set * ways;
-        for line in &mut self.lines[base..base + ways] {
-            if line.valid && line.tag == page {
-                line.valid = false;
-            }
+        let base = (page as usize) % self.sets * ways;
+        let set = &mut self.tags[base..base + ways];
+        if let Some(j) = set.iter().position(|&t| t == page) {
+            set[..=j].rotate_right(1);
+            set[0] = EMPTY;
         }
     }
 
-    /// Invalidate every page of a range. For ranges wider than the cache it
-    /// sweeps the lines once instead of probing set-by-set per page; the
-    /// final state is identical either way.
+    /// Invalidate every page of a range, one pass per set it touches; the
+    /// final state is that of [`CacheFilter::invalidate`] on each page.
     pub fn invalidate_range(&mut self, range: PageRange) {
-        if range.count as usize >= self.lines.len() {
-            for line in &mut self.lines {
-                if line.valid && range.contains(line.tag) {
-                    line.valid = false;
+        let ways = self.spec.ways.max(1);
+        for set in self.touched_sets(range) {
+            // Lines outside the range slide to the back in order; the slots
+            // freed at the front become empty.
+            let mut w = ways;
+            for r in (0..ways).rev() {
+                if !range.contains(set[r]) {
+                    w -= 1;
+                    set[w] = set[r];
                 }
             }
-        } else {
-            for p in range.iter() {
-                self.invalidate(p);
-            }
+            set[..w].fill(EMPTY);
         }
+    }
+
+    /// The sets `range` touches, in page order: the `t`-th holds the
+    /// range's pages `range.first + t + i·sets`.
+    fn touched_sets(&mut self, range: PageRange) -> impl Iterator<Item = &mut [u64]> {
+        let ways = self.spec.ways.max(1);
+        let first = (range.first % self.sets as u64) as usize;
+        let (below, from) = self.tags.split_at_mut(first * ways);
+        let touched = range.count.min(self.sets as u64) as usize;
+        from.chunks_exact_mut(ways).chain(below.chunks_exact_mut(ways)).take(touched)
     }
 
     /// Drop all cached pages.
     pub fn flush(&mut self) {
-        for line in &mut self.lines {
-            line.valid = false;
-        }
+        self.tags.fill(EMPTY);
     }
 
     /// Hits observed so far.
@@ -349,31 +272,59 @@ impl CacheFilter {
     }
 }
 
-/// Eviction priority of a line: invalid slots (key 0) go first, then lowest
-/// LRU stamp. Shared by `victim_index` and the batched probe's rotation order
-/// so the two paths cannot diverge.
-fn victim_key(l: &Line) -> u64 {
-    if l.valid {
-        l.stamp
-    } else {
-        0
+/// Probe the `k >= 2` pages `p_i = p0 + i·sets` of a range in their set,
+/// by the rule on [`CacheFilter::probe_range`], appending the hits in
+/// ascending order. `span` is `range.end() - p0`.
+fn resolve_set(set: &mut [u64], p0: u64, k: u64, span: u64, sets: u64, hits: &mut Vec<u64>) {
+    let ways = set.len();
+    // A tag is in the range iff `tag - p0 < span`, wrapping: empty slots
+    // and pages below `p0` wrap past it. A set holding none of the range
+    // keeps its lines in place and only shifts below.
+    if set.iter().fold(false, |any, &tag| any | (tag.wrapping_sub(p0) < span)) {
+        // From the MRU end down: this set's hits so far are those ranked
+        // above the line, kept descending, so `h` is the tail below its
+        // page. Lines outside the range slide to the back.
+        let first_hit = hits.len();
+        let mut w = ways;
+        for r in (0..ways).rev() {
+            let tag = set[r];
+            let off = tag.wrapping_sub(p0);
+            if off >= span {
+                w -= 1;
+                set[w] = tag;
+                continue;
+            }
+            let h = hits[first_hit..].iter().rev().take_while(|&&p| p < tag).count();
+            if off <= (r + h) as u64 * sets {
+                hits.insert(hits.len() - h, tag);
+            }
+        }
+        hits[first_hit..].reverse();
+    }
+    let kept = ways - k.min(ways as u64) as usize;
+    set.copy_within(ways - kept.., 0);
+    let mut p = p0 + (k - (ways - kept) as u64) * sets;
+    for slot in &mut set[kept..] {
+        *slot = p;
+        p += sets;
     }
 }
 
-/// Eviction victim of a set: the first slot minimising [`victim_key`].
-/// Shared by the per-page and batched probe paths so their choices cannot
-/// diverge.
-fn victim_index(slots: &[Line]) -> usize {
-    let mut best = 0;
-    let mut best_key = victim_key(&slots[0]);
-    for (j, l) in slots.iter().enumerate().skip(1) {
-        let k = victim_key(l);
-        if k < best_key {
-            best = j;
-            best_key = k;
+/// Probe `page` in its set: a hit moves its tag to the MRU end, a miss
+/// drops the LRU tag and appends the page. Recently used tags sit at the
+/// back, so the search starts there.
+fn touch(set: &mut [u64], page: u64) -> CacheOutcome {
+    match set.iter().rposition(|&t| t == page) {
+        Some(j) => {
+            set[j..].rotate_left(1);
+            CacheOutcome::Hit
+        }
+        None => {
+            set.rotate_left(1);
+            set[set.len() - 1] = page;
+            CacheOutcome::Miss
         }
     }
-    best
 }
 
 #[cfg(test)]
@@ -464,8 +415,7 @@ mod tests {
     #[test]
     fn probe_range_matches_per_page_small_and_large() {
         // Warm the filter with a stride pattern, then probe ranges around,
-        // inside and far beyond the 4-line capacity (the large-range bypass
-        // kicks in above 8 pages for this spec).
+        // inside and far beyond the 4-line capacity.
         for warm_stride in [1u64, 2, 3, 7] {
             let mut c = CacheFilter::new(tiny_spec());
             for i in 0..6 {

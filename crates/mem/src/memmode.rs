@@ -185,12 +185,12 @@ impl MemoryModeCache {
     /// bytes each, batched.
     ///
     /// Counters, timing and final cache state are identical to calling
-    /// [`MemoryModeCache::access`] for each page in ascending order. Like
-    /// [`crate::CacheFilter::probe_range`], large ranges are resolved per
-    /// set: once a set holds only lines touched by this range, the remaining
-    /// pages of the set's progression are compulsory misses whose cost is
-    /// uniform — except for the first eviction cycle, whose victims may be
-    /// pre-existing dirty lines and are accounted individually.
+    /// [`MemoryModeCache::access`] for each page in ascending order. Large
+    /// ranges are resolved per set. The range's pages in a set are distinct,
+    /// so once the set holds only lines this range touched, the rest of its
+    /// pages are compulsory misses whose cost is uniform — except for the
+    /// first eviction cycle, whose victims may be pre-existing dirty lines
+    /// and are accounted individually.
     pub(crate) fn access_run(
         &mut self,
         range: PageRange,
@@ -257,8 +257,12 @@ impl MemoryModeCache {
 
             // Victim rotation order if every page were to miss: ascending
             // (valid, stamp) with ties broken by slot index, matching
-            // `victim_index` (see `CacheFilter::probe_range` for the
-            // self-consistency argument shared by both caches).
+            // `victim_index`. Probe `i` comes before the `i`-th eviction, so
+            // a pre-existing line can hit only if its page's probe index is
+            // at most its rank in this order. If no line qualifies, "every
+            // page misses" is self-consistent (a first hit would have to
+            // come after its own line's eviction), and the set skips the
+            // per-page phase.
             order.clear();
             order.extend(0..ways);
             order.sort_by_key(|&j| victim_key(&slots[j]));

@@ -1226,11 +1226,8 @@ impl MemorySystem {
         self.profiler.as_ref()
     }
 
-    // ------------------------------------------------------ fault injection
+    // ------------------------------------------ tenant quota and lane share
 
-    /// Install a seeded fault injector. An injector whose profile has every
-    /// rate at zero consumes no entropy and leaves behaviour byte-identical
-    /// to having no injector at all (no-fault transparency).
     /// Cap the fast tier at `quota` pages (`None` restores the configured
     /// capacity). The cap is folded into [`MemorySystem::free_pages`], so
     /// every allocation and migration admission check sees it; a quota at or
@@ -1291,6 +1288,11 @@ impl MemorySystem {
         self.engine.set_lane_share(num, den);
     }
 
+    // ------------------------------------------------------ fault injection
+
+    /// Install a seeded fault injector. An injector whose profile has every
+    /// rate at zero consumes no entropy and leaves behaviour byte-identical
+    /// to having no injector at all (no-fault transparency).
     pub fn set_fault_injector(&mut self, injector: FaultInjector) {
         self.injector = Some(injector);
     }

@@ -27,7 +27,8 @@ struct Access {
 #[derive(Clone, Debug)]
 struct Scenario {
     pages: u64,
-    cache: bool,
+    /// Cache filter geometry as `(sets, ways)`, if the filter is on.
+    cache: Option<(usize, usize)>,
     memmode: bool,
     profiling: bool,
     /// `(first, count, to_fast)` map attempts (failures are fine — they fail
@@ -40,16 +41,17 @@ struct Scenario {
     accesses: Vec<Access>,
 }
 
-/// Small tiers and a deliberately tiny cache filter (2 sets × 2 ways), so the
-/// batched paths' large-range bypasses trigger at just a few pages.
-fn config(with_cache: bool) -> HmConfig {
+/// Small tiers and a small cache filter: either 2 sets × 2 ways, where a
+/// few pages span many times the line count, or 16-way like the shipped
+/// presets with a few sets, where a set's lines reach ranks up to 15.
+fn config(cache: Option<(usize, usize)>) -> HmConfig {
     let mut cfg = HmConfig::testing()
         .with_fast_capacity(256 * 4096)
         .with_slow_capacity(4096 * 4096);
-    if with_cache {
+    if let Some((sets, ways)) = cache {
         cfg.cache = Some(CacheFilterSpec {
-            capacity_bytes: 4 * 4096,
-            ways: 2,
+            capacity_bytes: (sets * ways) as u64 * 4096,
+            ways,
             line_bytes: 4096,
             hit_latency_ns: 1,
             hit_bw_bytes_per_ns: 100.0,
@@ -85,7 +87,17 @@ fn build(s: &Scenario) -> MemorySystem {
 }
 
 fn gen_scenario(rng: &mut Rng) -> Scenario {
-    let pages = rng.gen_range(1, 96);
+    let cache = match rng.gen_usize(0, 10) {
+        0..=3 => Some((2, 2)),
+        4..=6 => Some((rng.gen_usize(2, 5), 16)),
+        _ => None,
+    };
+    // The 16-way filter holds 32-64 lines; its layouts are up to 256 pages,
+    // so ranges still span several times the line count.
+    let pages = match cache {
+        Some((_, 16)) => rng.gen_range(1, 256),
+        _ => rng.gen_range(1, 96),
+    };
     let sub = |rng: &mut Rng| {
         let first = rng.gen_range(0, pages);
         let count = rng.gen_range(1, pages - first + 1);
@@ -117,7 +129,7 @@ fn gen_scenario(rng: &mut Rng) -> Scenario {
         .collect();
     Scenario {
         pages,
-        cache: rng.gen_bool(0.7),
+        cache,
         memmode: rng.gen_bool(0.4),
         profiling: rng.gen_bool(0.5),
         maps,
@@ -154,7 +166,7 @@ fn shrink_scenario(s: &Scenario) -> Vec<Scenario> {
         out.push(t);
     }
     for toggle in [
-        |t: &mut Scenario| t.cache = false,
+        |t: &mut Scenario| t.cache = None,
         |t: &mut Scenario| t.memmode = false,
         |t: &mut Scenario| t.profiling = false,
     ] {

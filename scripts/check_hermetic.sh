@@ -96,6 +96,23 @@ if ! wait "$daemon_pid"; then
     exit 1
 fi
 
+echo "== perfbench gate: simulated output matches the stored references =="
+# One short run per workload. The last line of perfbench's output is its
+# result; every operation must match perfbench/refs.json.
+for workload in zoo-steady deep-plan sentineld-mix experiments-fast; do
+    if ! bench_out=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml \
+            -- --workload "$workload" --seed 0 --seconds 1 --trace 0); then
+        echo "FAIL: perfbench $workload exited with an error" >&2
+        exit 1
+    fi
+    result=$(tail -n 1 <<< "$bench_out")
+    if [[ "$result" != *'"correct":true'* || "$result" != *'"failed":0,'* ]]; then
+        echo "FAIL: perfbench $workload: $result" >&2
+        exit 1
+    fi
+    echo "$workload: ${result%%,\"metrics\"*}}"
+done
+
 echo "== dependency closure is sentinel-* only =="
 bad_lock=$(grep '^name = ' Cargo.lock | grep -v '"sentinel' || true)
 if [[ -n "$bad_lock" ]]; then
