@@ -8,12 +8,15 @@
 //! [`impl_to_json!`](crate::impl_to_json)) instead of a derive macro.
 //!
 //! The parser is safe on untrusted input: [`Json::parse_bytes`] validates
-//! UTF-8 explicitly and enforces a configurable maximum input size (both
+//! UTF-8 in one pass and enforces a configurable maximum input size (both
 //! reported as typed [`JsonErrorKind`]s), and nesting past [`MAX_DEPTH`]
-//! is rejected. The writers are *iterative* (an explicit work stack, no
-//! recursion), so a programmatically built tree of any depth serializes
-//! without risking the thread stack — the parser-side depth limit remains
-//! the only bound, pinned by `tests/json_props.rs` in both directions.
+//! is rejected. It then parses the validated text, copying each string as
+//! the runs between its escapes, and accepts only RFC 8259 grammar.
+//! Both output forms come from one *iterative* walker (a heap stack with
+//! one entry per open container, no recursion), so a programmatically
+//! built tree of any depth serializes without risking the thread stack —
+//! the parser-side depth limit remains the only bound, pinned by
+//! `tests/json_props.rs` in both directions.
 //!
 //! Numbers are normalized so writing and re-parsing a tree yields an equal
 //! tree: non-negative integers are always `U64`, negative integers `I64`,
@@ -113,7 +116,7 @@ impl Json {
     #[must_use]
     pub fn to_string(&self) -> String {
         let mut out = String::new();
-        self.write_compact(&mut out);
+        self.write(&mut out, false);
         out
     }
 
@@ -121,19 +124,18 @@ impl Json {
     #[must_use]
     pub fn to_pretty_string(&self) -> String {
         let mut out = String::new();
-        self.write_pretty(&mut out, 0);
+        self.write(&mut out, true);
         out.push('\n');
         out
     }
 
-    /// Emit a scalar (anything but a non-empty container) in compact form.
-    /// Containers are handled by the writers' explicit work stacks.
+    /// Emit a scalar (anything but a non-empty container).
     fn write_scalar(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::I64(v) => out.push_str(&v.to_string()),
-            Json::U64(v) => out.push_str(&v.to_string()),
+            Json::I64(v) => push_fmt(out, format_args!("{v}")),
+            Json::U64(v) => push_fmt(out, format_args!("{v}")),
             Json::F64(v) => write_f64(*v, out),
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(_) => out.push_str("[]"),
@@ -141,117 +143,88 @@ impl Json {
         }
     }
 
-    /// Iterative compact writer: an explicit LIFO work stack instead of
-    /// recursion, so serialization depth is bounded by the heap, not the
+    /// The one serializer behind both output forms. It walks the tree with
+    /// a heap stack holding one iterator per open container instead of
+    /// recursing, so serialization depth is bounded by the heap, not the
     /// thread stack. The parser enforces [`MAX_DEPTH`]; a programmatically
     /// built tree has no such bound and must still serialize safely.
-    fn write_compact(&self, out: &mut String) {
-        enum Work<'a> {
-            Value(&'a Json),
-            Key(&'a str),
-            Lit(&'static str),
+    /// `pretty` puts each element on its own line, indented two spaces per
+    /// level; empty containers stay compact in both forms.
+    fn write(&self, out: &mut String, pretty: bool) {
+        enum Open<'a> {
+            Arr(std::slice::Iter<'a, Json>),
+            Obj(std::slice::Iter<'a, (String, Json)>),
         }
-        let mut stack = vec![Work::Value(self)];
-        while let Some(work) = stack.pop() {
-            match work {
-                Work::Lit(text) => out.push_str(text),
-                Work::Key(key) => {
-                    write_escaped(key, out);
-                    out.push(':');
-                }
-                Work::Value(Json::Arr(items)) if !items.is_empty() => {
+        let mut stack = Vec::new();
+        let mut value = self;
+        loop {
+            let mut first = match value {
+                Json::Arr(items) if !items.is_empty() => {
                     out.push('[');
-                    stack.push(Work::Lit("]"));
-                    for (i, item) in items.iter().enumerate().rev() {
-                        stack.push(Work::Value(item));
-                        if i > 0 {
-                            stack.push(Work::Lit(","));
-                        }
-                    }
+                    stack.push(Open::Arr(items.iter()));
+                    true
                 }
-                Work::Value(Json::Obj(members)) if !members.is_empty() => {
+                Json::Obj(members) if !members.is_empty() => {
                     out.push('{');
-                    stack.push(Work::Lit("}"));
-                    for (i, (k, v)) in members.iter().enumerate().rev() {
-                        stack.push(Work::Value(v));
-                        stack.push(Work::Key(k));
-                        if i > 0 {
-                            stack.push(Work::Lit(","));
-                        }
-                    }
+                    stack.push(Open::Obj(members.iter()));
+                    true
                 }
-                Work::Value(scalar) => scalar.write_scalar(out),
-            }
-        }
-    }
-
-    /// Iterative pretty writer; byte-identical to the historical recursive
-    /// formatting (two-space indents, compact empty containers).
-    fn write_pretty(&self, out: &mut String, depth: usize) {
-        enum Work<'a> {
-            Value(&'a Json, usize),
-            Key(&'a str),
-            Indent(usize),
-            Lit(&'static str),
-        }
-        let mut stack = vec![Work::Value(self, depth)];
-        while let Some(work) = stack.pop() {
-            match work {
-                Work::Lit(text) => out.push_str(text),
-                Work::Indent(depth) => indent(out, depth),
-                Work::Key(key) => {
+                scalar => {
+                    scalar.write_scalar(out);
+                    false
+                }
+            };
+            // Step to the next element, closing each container it leaves.
+            value = loop {
+                let depth = stack.len();
+                let (next, close) = match stack.last_mut() {
+                    None => return,
+                    Some(Open::Arr(items)) => (items.next().map(|v| (None, v)), ']'),
+                    Some(Open::Obj(members)) => (members.next().map(|(k, v)| (Some(k), v)), '}'),
+                };
+                let Some((key, next)) = next else {
+                    stack.pop();
+                    if pretty {
+                        out.push('\n');
+                        indent(out, depth - 1);
+                    }
+                    out.push(close);
+                    first = false;
+                    continue;
+                };
+                if !first {
+                    out.push(',');
+                }
+                if pretty {
+                    out.push('\n');
+                    indent(out, depth);
+                }
+                if let Some(key) = key {
                     write_escaped(key, out);
-                    out.push_str(": ");
+                    out.push_str(if pretty { ": " } else { ":" });
                 }
-                Work::Value(Json::Arr(items), depth) if !items.is_empty() => {
-                    out.push_str("[\n");
-                    stack.push(Work::Lit("]"));
-                    stack.push(Work::Indent(depth));
-                    stack.push(Work::Lit("\n"));
-                    for (i, item) in items.iter().enumerate().rev() {
-                        stack.push(Work::Value(item, depth + 1));
-                        stack.push(Work::Indent(depth + 1));
-                        if i > 0 {
-                            stack.push(Work::Lit(",\n"));
-                        }
-                    }
-                }
-                Work::Value(Json::Obj(members), depth) if !members.is_empty() => {
-                    out.push_str("{\n");
-                    stack.push(Work::Lit("}"));
-                    stack.push(Work::Indent(depth));
-                    stack.push(Work::Lit("\n"));
-                    for (i, (k, v)) in members.iter().enumerate().rev() {
-                        stack.push(Work::Value(v, depth + 1));
-                        stack.push(Work::Key(k));
-                        stack.push(Work::Indent(depth + 1));
-                        if i > 0 {
-                            stack.push(Work::Lit(",\n"));
-                        }
-                    }
-                }
-                Work::Value(scalar, _) => scalar.write_scalar(out),
-            }
+                break next;
+            };
         }
     }
 
     /// Strict parse of a complete JSON document.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { text, pos: 0 };
         p.skip_ws();
         let value = p.value(0)?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.text.len() {
             return Err(p.err("trailing characters after value"));
         }
         Ok(value)
     }
 
     /// Strict parse of a complete JSON document from raw bytes, as read off
-    /// a socket: the input is validated as UTF-8 up front and the error is
-    /// typed ([`JsonErrorKind::InvalidUtf8`]) instead of a panic. The byte
-    /// parser itself also never trusts a lead byte (see `utf8_len`), so a
-    /// malformed sequence can never cause an out-of-bounds slice.
+    /// a socket: the input is validated as UTF-8 in one pass up front, with
+    /// a typed error ([`JsonErrorKind::InvalidUtf8`]) instead of a panic,
+    /// and the parser then reads only the validated text, so no malformed
+    /// sequence reaches it.
     ///
     /// # Errors
     ///
@@ -297,12 +270,17 @@ fn indent(out: &mut String, depth: usize) {
     }
 }
 
+/// Append formatted text in place, without a temporary `String`.
+fn push_fmt(out: &mut String, args: fmt::Arguments<'_>) {
+    fmt::Write::write_fmt(out, args).expect("writing to a String cannot fail");
+}
+
 fn write_f64(v: f64, out: &mut String) {
     if v.is_finite() {
-        let s = format!("{v}");
-        out.push_str(&s);
+        let start = out.len();
+        push_fmt(out, format_args!("{v}"));
         // Keep floats distinguishable from integers on re-parse.
-        if !s.contains(['.', 'e', 'E']) {
+        if !out[start..].contains(['.', 'e', 'E']) {
             out.push_str(".0");
         }
     } else {
@@ -310,31 +288,38 @@ fn write_f64(v: f64, out: &mut String) {
     }
 }
 
+/// Write `s` as a JSON string: the text between two escaped bytes is
+/// copied in one piece. Only ASCII bytes are escaped, so every cut falls
+/// on a character boundary.
 fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut rest = s;
+    while let Some(i) = rest.bytes().position(|b| matches!(b, b'"' | b'\\' | 0x00..=0x1F)) {
+        out.push_str(&rest[..i]);
+        match rest.as_bytes()[i] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0C => out.push_str("\\f"),
+            b => push_fmt(out, format_args!("\\u{b:04x}")),
         }
+        rest = &rest[i + 1..];
     }
+    out.push_str(rest);
     out.push('"');
 }
 
 /// Maximum nesting depth the parser accepts.
 pub const MAX_DEPTH: usize = 128;
 
+/// Recursive-descent parser over validated text. Every position it stops
+/// at to slice is on an ASCII byte or at the end, hence a character
+/// boundary.
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
@@ -347,8 +332,12 @@ impl<'a> Parser<'a> {
         JsonError { offset: self.pos, message: message.to_owned(), kind }
     }
 
+    fn rest(&self) -> &'a [u8] {
+        &self.text.as_bytes()[self.pos..]
+    }
+
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.rest().first().copied()
     }
 
     fn skip_ws(&mut self) {
@@ -367,7 +356,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, text: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
+        if self.rest().starts_with(text.as_bytes()) {
             self.pos += text.len();
             Ok(value)
         } else {
@@ -445,103 +434,110 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // The run up to the next quote, backslash or control byte.
+            let start = self.pos;
+            let len = self.rest().iter().position(|&b| matches!(b, b'"' | b'\\' | 0x00..=0x1F));
+            self.pos = len.map_or(self.text.len(), |len| start + len);
+            let run = &self.text[start..self.pos];
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    // A string without escapes is one exact-size copy.
+                    return Ok(if out.is_empty() { run.to_owned() } else { out + run });
                 }
                 Some(b'\\') => {
+                    out.push_str(run);
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
+                    let c = match self.peek() {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
                         Some(b'u') => {
                             self.pos += 1;
-                            let cp = self.hex4()?;
-                            // Surrogate pairs for astral-plane characters.
-                            let c = if (0xD800..0xDC00).contains(&cp) {
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let lo = self.hex4()?;
-                                    if !(0xDC00..0xE000).contains(&lo) {
-                                        return Err(self.err("invalid low surrogate"));
-                                    }
-                                    let combined =
-                                        0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                                    char::from_u32(combined)
-                                } else {
-                                    None
-                                }
-                            } else {
-                                char::from_u32(cp)
-                            };
-                            match c {
-                                Some(c) => out.push(c),
-                                None => return Err(self.err("invalid \\u escape")),
-                            }
-                            continue; // hex4 advanced past the digits
+                            out.push(self.unicode_escape()?);
+                            continue; // past the hex digits already
                         }
                         _ => return Err(self.err("invalid escape")),
-                    }
+                    };
+                    out.push(c);
                     self.pos += 1;
                 }
-                Some(b) if b < 0x20 => return Err(self.err("control character in string")),
-                Some(lead) => {
-                    // Consume one UTF-8 character. The lead byte is never
-                    // trusted: a bare continuation byte (0x80..=0xBF), an
-                    // overlong lead (0xC0/0xC1) or an out-of-range lead
-                    // (0xF5..) has no valid length, and a well-formed lead
-                    // followed by bad continuation bytes fails the
-                    // `from_utf8` check — so untrusted byte input can never
-                    // slice out of bounds or split a character.
-                    let invalid =
-                        || self.err_kind("invalid utf-8 in string", JsonErrorKind::InvalidUtf8);
-                    let len = utf8_len(lead).ok_or_else(invalid)?;
-                    let rest = &self.bytes[self.pos..];
-                    if rest.len() < len {
-                        return Err(invalid());
-                    }
-                    let ch = std::str::from_utf8(&rest[..len]).map_err(|_| invalid())?;
-                    out.push_str(ch);
-                    self.pos += len;
-                }
+                Some(_) => return Err(self.err("control character in string")),
             }
         }
     }
 
+    /// The character of a `\u` escape whose `\u` is already consumed,
+    /// joining a surrogate pair for astral-plane characters.
+    fn unicode_escape(&mut self) -> Result<char, JsonError> {
+        let cp = self.hex4()?;
+        let c = if (0xD800..0xDC00).contains(&cp) {
+            if self.rest().starts_with(b"\\u") {
+                self.pos += 2;
+                let lo = self.hex4()?;
+                if !(0xDC00..0xE000).contains(&lo) {
+                    return Err(self.err("invalid low surrogate"));
+                }
+                char::from_u32(0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00))
+            } else {
+                None
+            }
+        } else {
+            char::from_u32(cp)
+        };
+        c.ok_or_else(|| self.err("invalid \\u escape"))
+    }
+
+    /// Exactly four hex digits; a sign or any other byte is rejected at
+    /// the start of the four.
     fn hex4(&mut self) -> Result<u32, JsonError> {
-        let slice = self
-            .bytes
-            .get(self.pos..self.pos + 4)
-            .ok_or_else(|| self.err("truncated \\u escape"))?;
-        let text = std::str::from_utf8(slice).map_err(|_| self.err("invalid \\u escape"))?;
-        let cp = u32::from_str_radix(text, 16).map_err(|_| self.err("invalid \\u escape"))?;
+        let digits = self.rest().get(..4).ok_or_else(|| self.err("truncated \\u escape"))?;
+        let mut cp = 0;
+        for &d in digits {
+            let v = char::from(d).to_digit(16).ok_or_else(|| self.err("invalid \\u escape"))?;
+            cp = cp << 4 | v;
+        }
         self.pos += 4;
         Ok(cp)
     }
 
+    /// One or more ASCII digits.
+    fn digits(&mut self) -> Result<(), JsonError> {
+        let len = self.rest().iter().take_while(|b| b.is_ascii_digit()).count();
+        if len == 0 {
+            return Err(self.err("invalid number"));
+        }
+        self.pos += len;
+        Ok(())
+    }
+
+    /// A number in RFC 8259 §6 grammar: no leading zero, and a digit after
+    /// `-`, after `.` and in the exponent; the error points at the first
+    /// byte that breaks it.
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        if self.peek() == Some(b'0') {
             self.pos += 1;
+            if matches!(self.peek(), Some(b'0'..=b'9')) {
+                return Err(self.err("invalid number"));
+            }
+        } else {
+            self.digits()?;
         }
         let mut is_float = false;
         if self.peek() == Some(b'.') {
             is_float = true;
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits()?;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             is_float = true;
@@ -549,12 +545,9 @@ impl<'a> Parser<'a> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits()?;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
+        let text = &self.text[start..self.pos];
         if is_float {
             text.parse::<f64>().map(Json::F64).map_err(|_| self.err("invalid number"))
         } else if text.starts_with('-') {
@@ -562,23 +555,6 @@ impl<'a> Parser<'a> {
         } else {
             text.parse::<u64>().map(Json::U64).map_err(|_| self.err("integer out of range"))
         }
-    }
-}
-
-/// Sequence length implied by a UTF-8 lead byte, or `None` when the byte
-/// cannot begin a character: bare continuation bytes (`0x80..=0xBF`),
-/// overlong-encoding leads (`0xC0`/`0xC1`) and leads past the Unicode
-/// ceiling (`0xF5..=0xFF`). The historical version silently classified the
-/// first two groups as 2-byte leads and the last as 4-byte leads — harmless
-/// on `&str` input (which cannot contain them) but unsound for the byte
-/// parser, where a crafted lead could mislabel the character boundary.
-fn utf8_len(first: u8) -> Option<usize> {
-    match first {
-        0x00..=0x7F => Some(1),
-        0xC2..=0xDF => Some(2),
-        0xE0..=0xEF => Some(3),
-        0xF0..=0xF4 => Some(4),
-        _ => None,
     }
 }
 
@@ -782,10 +758,79 @@ mod tests {
         assert_eq!(3i32.to_json(), Json::U64(3));
     }
 
+    /// Every rejection's `(kind, offset, message)`. Apart from the rows
+    /// marked RFC 8259, each row is what the parser has always reported.
     #[test]
     fn parse_rejects_garbage() {
-        for bad in ["", "{", "[1,", "tru", "\"ab", "{\"a\" 1}", "1 2", "{'a':1}", "nul"] {
-            assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
+        use JsonErrorKind::{InvalidUtf8, Syntax, TooDeep};
+        let deep = format!("{}1{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let cases: &[(&[u8], JsonErrorKind, usize, &str)] = &[
+            (b"", Syntax, 0, "expected a value"),
+            (b"{", Syntax, 1, "expected '\"'"),
+            (b"[1,", Syntax, 3, "expected a value"),
+            (b"tru", Syntax, 0, "expected 'true'"),
+            (b"nul", Syntax, 0, "expected 'null'"),
+            (b"{'a':1}", Syntax, 1, "expected '\"'"),
+            (b"\"ab", Syntax, 3, "unterminated string"),
+            (b"\"a\x01b\"", Syntax, 2, "control character in string"),
+            (b"\"\\x\"", Syntax, 2, "invalid escape"),
+            (b"\"\\u12\"", Syntax, 3, "truncated \\u escape"),
+            (b"\"\\u00G1\"", Syntax, 3, "invalid \\u escape"),
+            (b"\"\\uD800\"", Syntax, 7, "invalid \\u escape"),
+            (b"\"\\uDC00\"", Syntax, 7, "invalid \\u escape"),
+            (b"\"\\uD800\\u0041\"", Syntax, 13, "invalid low surrogate"),
+            (b"{\"a\" 1}", Syntax, 5, "expected ':'"),
+            (b"[1 2]", Syntax, 3, "expected ',' or ']'"),
+            (b"[1", Syntax, 2, "expected ',' or ']'"),
+            (b"{\"a\":1 \"b\"}", Syntax, 7, "expected ',' or '}'"),
+            (b"{\"a\":1", Syntax, 6, "expected ',' or '}'"),
+            (b"1 2", Syntax, 2, "trailing characters after value"),
+            (b"18446744073709551616", Syntax, 20, "integer out of range"),
+            (b"-9223372036854775809", Syntax, 20, "integer out of range"),
+            (b"1e", Syntax, 2, "invalid number"),
+            (b"1e+", Syntax, 3, "invalid number"),
+            (deep.as_bytes(), TooDeep, MAX_DEPTH + 1, "nesting too deep"),
+            (b"\"a\xFFb\"", InvalidUtf8, 2, "invalid utf-8 at byte 2"),
+            // RFC 8259: `\u` takes exactly four hex digits (no sign) ...
+            (b"\"\\u+041\"", Syntax, 3, "invalid \\u escape"),
+            // ... and a number has no leading zero and a digit after `-`,
+            // after `.` and in the exponent.
+            (b"01", Syntax, 1, "invalid number"),
+            (b"-01", Syntax, 2, "invalid number"),
+            (b"1.", Syntax, 2, "invalid number"),
+            (b"-.5", Syntax, 1, "invalid number"),
+            (b"1.e5", Syntax, 2, "invalid number"),
+            (b"-", Syntax, 1, "invalid number"),
+            (b"[-]", Syntax, 2, "invalid number"),
+        ];
+        for &(input, kind, offset, message) in cases {
+            let got = Json::parse_bytes(input).unwrap_err();
+            let want = JsonError { offset, message: message.to_owned(), kind };
+            assert_eq!(got, want, "input {:?}", String::from_utf8_lossy(input));
+        }
+        let e = Json::parse_bytes_limited(b"[1,2,3,4,5]", 4).unwrap_err();
+        assert_eq!(e.kind, JsonErrorKind::TooLarge);
+        assert_eq!(
+            (e.offset, e.message.as_str()),
+            (4, "input of 11 bytes exceeds the 4-byte limit")
+        );
+    }
+
+    /// RFC numbers at the grammar's edges still parse.
+    #[test]
+    fn rfc_numbers_parse() {
+        for (text, want) in [
+            ("0", Json::U64(0)),
+            ("-0", Json::U64(0)),
+            ("10", Json::U64(10)),
+            ("-7", Json::I64(-7)),
+            ("0.5", Json::F64(0.5)),
+            ("-0.0", Json::F64(-0.0)),
+            ("1E+2", Json::F64(100.0)),
+            ("2e-1", Json::F64(0.2)),
+            ("0e0", Json::F64(0.0)),
+        ] {
+            assert_eq!(Json::parse(text).unwrap(), want, "{text}");
         }
     }
 
@@ -852,17 +897,14 @@ mod tests {
     }
 
     #[test]
-    fn utf8_len_rejects_continuation_and_overlong_leads() {
-        for lead in 0x80..=0xBFu8 {
-            assert_eq!(utf8_len(lead), None, "continuation byte {lead:#x} accepted as lead");
+    fn invalid_utf8_leads_fail_at_their_own_offset() {
+        // Bare continuation bytes, overlong leads and leads past U+10FFFF
+        // can never begin a character.
+        let leads = (0x80..=0xBFu8).chain([0xC0, 0xC1]).chain(0xF5..=0xFF);
+        for lead in leads {
+            let e = Json::parse_bytes(&[b'"', b'a', b'b', lead, b'"']).unwrap_err();
+            assert_eq!((e.kind, e.offset), (JsonErrorKind::InvalidUtf8, 3), "lead {lead:#x}");
         }
-        for lead in [0xC0u8, 0xC1, 0xF5, 0xF8, 0xFE, 0xFF] {
-            assert_eq!(utf8_len(lead), None, "invalid lead {lead:#x} accepted");
-        }
-        assert_eq!(utf8_len(b'a'), Some(1));
-        assert_eq!(utf8_len(0xC2), Some(2));
-        assert_eq!(utf8_len(0xE2), Some(3));
-        assert_eq!(utf8_len(0xF0), Some(4));
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //!   UTF-8, bare continuation bytes and overlong leads) never panics the
 //!   byte parser; it either parses or returns a typed error, and the size
 //!   limit always reports [`JsonErrorKind::TooLarge`].
+//! * **string writer**: copying the text between escapes in runs gives
+//!   the same bytes as escaping one character at a time.
 
 use sentinel_util::{check, no_shrink, prop_assert, prop_assert_eq};
 use sentinel_util::{Json, JsonErrorKind, Rng, MAX_DEPTH};
@@ -22,8 +24,11 @@ fn gen_tree(rng: &mut Rng, depth_budget: usize) -> Json {
     match rng.gen_range(0, if scalar_only { 6 } else { 8 }) {
         0 => Json::Null,
         1 => Json::Bool(rng.gen_bool(0.5)),
+        2 if rng.gen_bool(0.25) => Json::U64(*rng.choose(&[0, u64::MAX])),
         2 => Json::U64(rng.next_u64()),
+        3 if rng.gen_bool(0.25) => Json::I64(i64::MIN),
         3 => Json::I64(-(rng.gen_range(1, 1 << 40) as i64)),
+        4 if rng.gen_bool(0.25) => Json::F64(*rng.choose(EDGE_FLOATS)),
         4 => Json::F64((rng.gen_range(0, 1 << 20) as f64) / 8.0),
         5 => Json::Str(gen_string(rng)),
         6 => {
@@ -37,12 +42,72 @@ fn gen_tree(rng: &mut Rng, depth_budget: usize) -> Json {
     }
 }
 
-/// Strings mixing ASCII, escapes, controls and multi-byte characters.
+/// Floats whose text is unusual: signed zero, the smallest subnormal, a
+/// fraction with no exact binary form, and very large magnitudes.
+const EDGE_FLOATS: &[f64] = &[-0.0, 5e-324, 0.1, 1e300, f64::MAX];
+
+/// Strings mixing ASCII, escapes, controls and multi-byte characters, plus
+/// every control byte with DEL in one piece, and long ASCII runs that start
+/// or end on a byte the writer escapes.
 fn gen_string(rng: &mut Rng) -> String {
-    const ALPHABET: &[&str] =
-        &["a", "Z", "0", " ", "\"", "\\", "\n", "\t", "\u{1}", "λ", "€", "😀", "/", "{", "]"];
+    const ALPHABET: &[&str] = &[
+        "a", "Z", "0", " ", "\"", "\\", "\n", "\t", "\u{1}", "λ", "€", "😀", "/", "{", "]",
+        "\u{7f}",
+    ];
     let n = rng.gen_usize(0, 12);
-    (0..n).map(|_| *rng.choose(ALPHABET)).collect()
+    let mut s = String::new();
+    for _ in 0..n {
+        match rng.gen_range(0, 4) {
+            0 if rng.gen_bool(0.25) => s.extend((0..0x20).chain([0x7F]).map(char::from)),
+            0 => s.push(char::from(rng.gen_range(0, 0x20) as u8)),
+            1 => {
+                let edge = |rng: &mut Rng| match rng.gen_range(0, 4) {
+                    0 => '"',
+                    1 => '\\',
+                    2 => char::from(rng.gen_range(0, 0x20) as u8),
+                    _ => 'x',
+                };
+                s.push(edge(rng));
+                s.extend((0..rng.gen_usize(16, 200)).map(|i| char::from(b'a' + (i % 26) as u8)));
+                s.push(edge(rng));
+            }
+            _ => s.push_str(*rng.choose(ALPHABET)),
+        }
+    }
+    s
+}
+
+/// The writer's escaping rules applied one character at a time.
+fn escape_per_char(s: &str) -> String {
+    let mut out = String::from('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            '\u{8}' => out.push_str("\\b"),
+            '\u{c}' => out.push_str("\\f"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+#[test]
+fn strings_escape_like_a_per_character_escaper() {
+    check(
+        "the run-copying string writer matches per-character escaping",
+        gen_string,
+        no_shrink(),
+        |s| {
+            prop_assert_eq!(Json::Str(s.clone()).to_string(), escape_per_char(s));
+            Ok(())
+        },
+    );
 }
 
 #[test]

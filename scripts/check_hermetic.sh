@@ -98,19 +98,24 @@ fi
 
 echo "== perfbench gate: simulated output matches the stored references =="
 # One short run per workload. The last line of perfbench's output is its
-# result; every operation must match perfbench/refs.json.
-for workload in zoo-steady deep-plan sentineld-mix experiments-fast; do
+# result; every operation must match perfbench/refs.json. The traced
+# sentineld-mix run also sends every streamed step frame through the codec
+# and back (each must decode equal to what was written), and requires its
+# traced training reports to equal the untraced ones.
+for run in zoo-steady:0 deep-plan:0 sentineld-mix:0 experiments-fast:0 sentineld-mix:1; do
+    workload=${run%:*}
+    trace=${run#*:}
     if ! bench_out=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml \
-            -- --workload "$workload" --seed 0 --seconds 1 --trace 0); then
-        echo "FAIL: perfbench $workload exited with an error" >&2
+            -- --workload "$workload" --seed 0 --seconds 1 --trace "$trace"); then
+        echo "FAIL: perfbench $workload --trace $trace exited with an error" >&2
         exit 1
     fi
     result=$(tail -n 1 <<< "$bench_out")
     if [[ "$result" != *'"correct":true'* || "$result" != *'"failed":0,'* ]]; then
-        echo "FAIL: perfbench $workload: $result" >&2
+        echo "FAIL: perfbench $workload --trace $trace: $result" >&2
         exit 1
     fi
-    echo "$workload: ${result%%,\"metrics\"*}}"
+    echo "$workload --trace $trace: ${result%%,\"metrics\"*}}"
 done
 
 echo "== dependency closure is sentinel-* only =="
