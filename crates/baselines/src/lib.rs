@@ -8,7 +8,7 @@
 //! | Baseline | Mechanism |
 //! |---|---|
 //! | [`FirstTouchNuma`] | fast until full, then slow; no migration |
-//! | [`MemoryMode`] | DRAM as a hardware direct-mapped page cache over PMM |
+//! | [`MemoryMode`] | DRAM as a hardware 8-way set-associative page cache on virtual pages over PMM |
 //! | [`Ial`] | FIFO active list; promote on second touch, synchronous copies |
 //! | [`AutoTm`] | static-profile greedy-ILP placement; inbound moves exposed |
 //! | [`UnifiedMemory`] | on-demand faulting with LRU eviction |

@@ -1,7 +1,7 @@
 //! Optane Memory Mode: DRAM as a hardware-managed cache over PMM.
 //!
 //! All application pages live in PMM; the fast tier is invisible to software
-//! and serves as a direct-mapped page cache (see
+//! and serves as an 8-way set-associative page cache on virtual pages (see
 //! [`sentinel_mem::MemoryModeCache`]). No runtime placement decisions exist
 //! — which is the point of the baseline.
 

@@ -11,6 +11,8 @@
 //! Each set is stored as its tags in recency order, least recently used
 //! first, with empty slots as an [`EMPTY`] tag at the front: a hit moves its
 //! tag to the back, and a miss drops the front tag and appends the page.
+//! Memory Mode's DRAM cache ([`crate::MemoryModeCache`]) keeps its sets the
+//! same way and probes them with the same `touch`.
 
 use crate::{Ns, PageRange};
 
@@ -75,7 +77,7 @@ pub enum CacheOutcome {
 
 /// Tag of an empty slot. No page carries it: a [`PageRange`] ends at or
 /// below `u64::MAX`, so its pages lie below it.
-const EMPTY: u64 = u64::MAX;
+pub(crate) const EMPTY: u64 = u64::MAX;
 
 /// Outcome of a batched [`CacheFilter::probe_range`].
 ///
@@ -139,12 +141,13 @@ impl CacheFilter {
         debug_assert_ne!(page, EMPTY, "page u64::MAX is the empty-slot tag");
         let ways = self.spec.ways.max(1);
         let base = (page as usize) % self.sets * ways;
-        let outcome = touch(&mut self.tags[base..base + ways], page);
-        match outcome {
-            CacheOutcome::Hit => self.hits += 1,
-            CacheOutcome::Miss => self.misses += 1,
+        if touch(&mut self.tags[base..base + ways], page).is_some() {
+            self.hits += 1;
+            CacheOutcome::Hit
+        } else {
+            self.misses += 1;
+            CacheOutcome::Miss
         }
-        outcome
     }
 
     /// Probe every page of a contiguous range, batched.
@@ -174,7 +177,7 @@ impl CacheFilter {
             let (p0, k) = (range.first + t, q + u64::from(t < rem));
             let first_hit = out.hit_pages.len();
             if k == 1 {
-                if touch(set, p0) == CacheOutcome::Hit {
+                if touch(set, p0).is_some() {
                     out.hit_pages.push(p0);
                 }
             } else {
@@ -310,21 +313,20 @@ fn resolve_set(set: &mut [u64], p0: u64, k: u64, span: u64, sets: u64, hits: &mu
     }
 }
 
-/// Probe `page` in its set: a hit moves its tag to the MRU end, a miss
-/// drops the LRU tag and appends the page. Recently used tags sit at the
-/// back, so the search starts there.
-fn touch(set: &mut [u64], page: u64) -> CacheOutcome {
-    match set.iter().rposition(|&t| t == page) {
-        Some(j) => {
-            set[j..].rotate_left(1);
-            CacheOutcome::Hit
-        }
+/// Probe `page` in its set: a hit moves its tag to the MRU end and returns
+/// the slot it left, so that per-slot state can rotate with the tags; a
+/// miss drops the LRU tag in slot 0, appends the page and returns `None`.
+/// Recently used tags sit at the back, so the search starts there.
+pub(crate) fn touch(set: &mut [u64], page: u64) -> Option<usize> {
+    let hit = set.iter().rposition(|&t| t == page);
+    match hit {
+        Some(j) => set[j..].rotate_left(1),
         None => {
             set.rotate_left(1);
             set[set.len() - 1] = page;
-            CacheOutcome::Miss
         }
     }
+    hit
 }
 
 #[cfg(test)]

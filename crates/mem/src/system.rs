@@ -435,21 +435,7 @@ impl MemorySystem {
 
                     // Memory Mode routes misses through the DRAM page cache.
                     if let Some(memmode) = &mut self.memmode {
-                        let mm = memmode.access_run(mr, per_model, write, &self.cfg);
-                        report.elapsed_ns += mm.elapsed_ns;
-                        report.bytes_fast += mm.fast_pages * per_pay;
-                        report.bytes_slow += mm.slow_pages * per_pay;
-                        self.stats.mm_accesses[Tier::Fast.index()] += mm.fast_pages;
-                        self.stats.mm_accesses[Tier::Slow.index()] += mm.slow_pages;
-                        if mm.fast_pages > 0 {
-                            record_traffic_into(&mut self.stats, &mut self.timeline, Tier::Fast, mm.fast_pages * per_model, write, now);
-                        }
-                        if mm.slow_pages > 0 {
-                            record_traffic_into(&mut self.stats, &mut self.timeline, Tier::Slow, mm.slow_pages * per_model, write, now);
-                        }
-                        if mm.extra_slow_traffic_bytes > 0 {
-                            record_traffic_into(&mut self.stats, &mut self.timeline, Tier::Slow, mm.extra_slow_traffic_bytes, false, now);
-                        }
+                        memory_mode_access(memmode, &self.cfg, &mut self.stats, &mut self.timeline, &mut report, mr, per_model, per_pay, write, now);
                         continue;
                     }
 
@@ -511,24 +497,12 @@ impl MemorySystem {
                 }
             }
             report.mm_accesses += 1;
+            self.count_profiling_fault(p, &mut report);
 
             // Memory Mode routes misses through the DRAM page cache.
-            if self.memmode.is_some() {
-                self.count_profiling_fault(p, &mut report);
-                let mm = match self.memmode.as_mut() {
-                    Some(memmode) => memmode.access(p, per_model, write, &self.cfg),
-                    None => continue, // unreachable: is_some checked above
-                };
-                report.elapsed_ns += mm.elapsed_ns;
-                match mm.serviced_by {
-                    Tier::Fast => report.bytes_fast += per_pay,
-                    Tier::Slow => report.bytes_slow += per_pay,
-                }
-                self.stats.mm_accesses[mm.serviced_by.index()] += 1;
-                self.record_traffic(mm.serviced_by, per_model, write, now);
-                if mm.slow_traffic_bytes > per_model {
-                    self.record_traffic(Tier::Slow, mm.slow_traffic_bytes - per_model, false, now);
-                }
+            if let Some(memmode) = &mut self.memmode {
+                let page = PageRange::new(p, 1);
+                memory_mode_access(memmode, &self.cfg, &mut self.stats, &mut self.timeline, &mut report, page, per_model, per_pay, write, now);
                 continue;
             }
 
@@ -539,7 +513,6 @@ impl MemorySystem {
                     Tier::Slow
                 }
             };
-            self.count_profiling_fault(p, &mut report);
             self.stats.mm_accesses[tier.index()] += 1;
             tier_model_bytes[tier.index()] += per_model;
             tier_touched[tier.index()] = true;
@@ -1164,7 +1137,10 @@ impl MemorySystem {
     // ------------------------------------------------------------ modes
 
     /// Enable Optane Memory Mode: all pages should be mapped in [`Tier::Slow`];
-    /// the fast tier becomes a hardware-managed direct-mapped page cache.
+    /// the fast tier becomes a hardware-managed page cache of `spec`'s
+    /// geometry. The Memory-Mode baseline's, from
+    /// [`MemoryModeSpec::from_config`], is 8-way set-associative on virtual
+    /// pages.
     pub fn enable_memory_mode(&mut self, spec: MemoryModeSpec) {
         self.memmode = Some(MemoryModeCache::new(spec));
     }
@@ -1527,6 +1503,47 @@ fn direction_name(direction: Direction) -> &'static str {
     match direction {
         Direction::Promote => "promote",
         Direction::Demote => "demote",
+    }
+}
+
+/// Route a run of main-memory pages through the Memory-Mode cache, for both
+/// access pipelines. Each page carries `per_pay` payload bytes and is
+/// charged as `per_model`. Charges the cache's time, splits the payload by
+/// the tier that served each page, and records the traffic: the payload,
+/// each read miss's PMM fill beyond it, and each dirty victim's page written
+/// back to PMM. Free for the same reason as [`record_traffic_into`], and
+/// kept out of line: inlined into `access`, it slowed the filter's run loop
+/// on runs without Memory Mode (zoo-steady steps by 6%).
+#[allow(clippy::too_many_arguments)]
+#[inline(never)]
+fn memory_mode_access(
+    memmode: &mut MemoryModeCache,
+    cfg: &HmConfig,
+    stats: &mut MemStats,
+    timeline: &mut Option<StatsTimeline>,
+    report: &mut AccessReport,
+    range: PageRange,
+    per_model: u64,
+    per_pay: u64,
+    write: bool,
+    now: Ns,
+) {
+    let mm = memmode.access_run(range, per_model, write, cfg);
+    report.elapsed_ns += mm.elapsed_ns;
+    report.bytes_fast += mm.fast_pages * per_pay;
+    report.bytes_slow += mm.slow_pages * per_pay;
+    stats.mm_accesses[Tier::Fast.index()] += mm.fast_pages;
+    stats.mm_accesses[Tier::Slow.index()] += mm.slow_pages;
+    let fill = mm.slow_pages * cfg.page_size.saturating_sub(per_model);
+    for (tier, bytes, written) in [
+        (Tier::Fast, mm.fast_pages * per_model, write),
+        (Tier::Slow, mm.slow_pages * per_model, write),
+        (Tier::Slow, fill, false),
+        (Tier::Slow, mm.writebacks * cfg.page_size, true),
+    ] {
+        if bytes > 0 {
+            record_traffic_into(stats, timeline, tier, bytes, written, now);
+        }
     }
 }
 

@@ -29,7 +29,8 @@ struct Scenario {
     pages: u64,
     /// Cache filter geometry as `(sets, ways)`, if the filter is on.
     cache: Option<(usize, usize)>,
-    memmode: bool,
+    /// Ways of an 8-page Memory-Mode cache, if Memory Mode is on.
+    memmode: Option<u64>,
     profiling: bool,
     /// `(first, count, to_fast)` map attempts (failures are fine — they fail
     /// identically on both systems).
@@ -63,10 +64,8 @@ fn config(cache: Option<(usize, usize)>) -> HmConfig {
 fn build(s: &Scenario) -> MemorySystem {
     let mut m = MemorySystem::new(config(s.cache));
     m.enable_timeline(1_000);
-    if s.memmode {
-        // 8 single-way slots: the run path's per-set bypass kicks in at 16
-        // pages, well inside the generated range sizes.
-        m.enable_memory_mode(MemoryModeSpec::with_capacity_pages(8));
+    if let Some(ways) = s.memmode {
+        m.enable_memory_mode(MemoryModeSpec { ways, ..MemoryModeSpec::with_capacity_pages(8) });
     }
     m.reserve(s.pages);
     for &(first, count, fast) in &s.maps {
@@ -130,7 +129,7 @@ fn gen_scenario(rng: &mut Rng) -> Scenario {
     Scenario {
         pages,
         cache,
-        memmode: rng.gen_bool(0.4),
+        memmode: rng.gen_bool(0.4).then(|| *rng.choose(&[1, 2, 4, 8])),
         profiling: rng.gen_bool(0.5),
         maps,
         unmaps,
@@ -139,8 +138,9 @@ fn gen_scenario(rng: &mut Rng) -> Scenario {
     }
 }
 
-/// Shrink by dropping setup ops and accesses, switching features off, and
-/// reducing individual access payloads/extents.
+/// Shrink by dropping setup ops and accesses, switching features off,
+/// halving Memory Mode's ways, and reducing individual access
+/// payloads/extents.
 fn shrink_scenario(s: &Scenario) -> Vec<Scenario> {
     let mut out = Vec::new();
     for i in 0..s.accesses.len() {
@@ -167,7 +167,8 @@ fn shrink_scenario(s: &Scenario) -> Vec<Scenario> {
     }
     for toggle in [
         |t: &mut Scenario| t.cache = None,
-        |t: &mut Scenario| t.memmode = false,
+        |t: &mut Scenario| t.memmode = None,
+        |t: &mut Scenario| t.memmode = t.memmode.map(|ways| (ways / 2).max(1)),
         |t: &mut Scenario| t.profiling = false,
     ] {
         let mut t = s.clone();

@@ -1,15 +1,23 @@
-//! The cache filter against an independent LRU oracle.
+//! The cache filter and Memory Mode's DRAM cache against an independent LRU
+//! oracle.
 //!
 //! `CacheFilter::probe_range` resolves each set in closed form, and the
 //! per-page `CacheFilter::probe` it must agree with shares the filter's
 //! recency-ordered representation, so comparing the two alone cannot catch a
-//! bug they share. These properties replay random streams of probes,
-//! invalidations and flushes over random geometries on the filter and on a
-//! textbook LRU written here — a `Vec` per set, a hit moves its page to the
-//! back, a miss drops the front of a full set and appends the page — and
-//! require identical hit lists and counters at every step.
+//! bug they share. Memory Mode's cache keeps its sets the same way and
+//! probes them with the same routine. These properties replay random streams
+//! over random geometries on each cache and on a textbook LRU written here —
+//! a `Vec` per set, a hit moves its page to the back, a miss drops the front
+//! of a full set and appends the page — and require identical outcomes and
+//! counters at every step. For the filter the streams are probes,
+//! invalidations and flushes; for Memory Mode they are read and write
+//! ranges through `MemorySystem`, and the oracle also keeps a dirty bit per
+//! line and counts each dirty line it drops as a write-back.
 
-use sentinel_mem::{CacheFilter, CacheFilterSpec, CacheOutcome, PageRange};
+use sentinel_mem::{
+    AccessKind, AccessReport, CacheFilter, CacheFilterSpec, CacheOutcome, HmConfig,
+    MemoryModeSpec, MemorySystem, PageRange, Tier,
+};
 use sentinel_util::prop::check;
 use sentinel_util::{prop_assert_eq, Rng};
 
@@ -29,50 +37,58 @@ struct Case {
     ops: Vec<Op>,
 }
 
-/// Textbook set-associative LRU: each set lists its pages, LRU first.
+/// Textbook set-associative write-back LRU: each set lists its lines as
+/// `(page, dirty)`, LRU first.
 struct Lru {
-    sets: Vec<Vec<u64>>,
+    sets: Vec<Vec<(u64, bool)>>,
     ways: usize,
     hits: u64,
     misses: u64,
+    /// Dirty lines dropped from a full set.
+    writebacks: u64,
 }
 
 impl Lru {
     fn new(sets: usize, ways: usize) -> Self {
-        Lru { sets: vec![Vec::new(); sets], ways, hits: 0, misses: 0 }
+        Lru { sets: vec![Vec::new(); sets], ways, hits: 0, misses: 0, writebacks: 0 }
     }
 
-    fn set_of(&mut self, page: u64) -> &mut Vec<u64> {
+    fn set_of(&mut self, page: u64) -> &mut Vec<(u64, bool)> {
         let n = self.sets.len() as u64;
         &mut self.sets[(page % n) as usize]
     }
 
-    fn probe(&mut self, page: u64) -> bool {
+    /// Access `page`, returning whether it hit. A write leaves the line
+    /// dirty; a read keeps a hit line's bit and installs a clean line.
+    fn access(&mut self, page: u64, write: bool) -> bool {
         let ways = self.ways;
         let set = self.set_of(page);
-        let hit = match set.iter().position(|&p| p == page) {
-            Some(j) => {
-                set.remove(j);
-                true
-            }
+        let mut dropped_dirty = false;
+        let (hit, dirty) = match set.iter().position(|&(p, _)| p == page) {
+            Some(j) => (true, set.remove(j).1),
             None => {
                 if set.len() == ways {
-                    set.remove(0);
+                    dropped_dirty = set.remove(0).1;
                 }
-                false
+                (false, false)
             }
         };
-        set.push(page);
+        set.push((page, dirty || write));
         if hit {
             self.hits += 1;
         } else {
             self.misses += 1;
         }
+        self.writebacks += u64::from(dropped_dirty);
         hit
     }
 
+    fn probe(&mut self, page: u64) -> bool {
+        self.access(page, false)
+    }
+
     fn invalidate(&mut self, page: u64) {
-        self.set_of(page).retain(|&p| p != page);
+        self.set_of(page).retain(|&(p, _)| p != page);
     }
 
     fn flush(&mut self) {
@@ -95,21 +111,25 @@ fn spec(sets: usize, ways: usize) -> CacheFilterSpec {
 /// Pages come from a window of four times the line count, so ranges (up to
 /// three times the line count) overlap and wrap around the sets; a third of
 /// them restart at or just past an earlier start, repeating its pages.
+fn gen_range(rng: &mut Rng, sets: usize, ways: usize, starts: &mut Vec<u64>) -> PageRange {
+    let lines = (sets * ways) as u64;
+    let first = if !starts.is_empty() && rng.gen_bool(0.3) {
+        *rng.choose(starts) + rng.gen_range(0, sets as u64)
+    } else {
+        rng.gen_range(0, 4 * lines)
+    };
+    starts.push(first);
+    PageRange::new(first, rng.gen_range(0, 3 * lines + 1))
+}
+
 fn gen_case(rng: &mut Rng) -> Case {
     let sets = rng.gen_usize(1, 14);
     let ways = rng.gen_usize(1, 21);
-    let lines = (sets * ways) as u64;
-    let window = 4 * lines;
     let mut starts = Vec::new();
     let ops = (0..rng.gen_usize(1, 41))
         .map(|_| {
-            let first = if !starts.is_empty() && rng.gen_bool(0.3) {
-                *rng.choose(&starts) + rng.gen_range(0, sets as u64)
-            } else {
-                rng.gen_range(0, window)
-            };
-            starts.push(first);
-            let range = PageRange::new(first, rng.gen_range(0, 3 * lines + 1));
+            let range = gen_range(rng, sets, ways, &mut starts);
+            let first = range.first;
             match rng.gen_usize(0, 16) {
                 0..=7 => Op::ProbeRange(range),
                 8..=10 => Op::Probe(first),
@@ -211,6 +231,151 @@ fn cache_filter_matches_textbook_lru() {
         let all = PageRange::new(0, 7 * (c.sets * c.ways) as u64);
         let want: Vec<u64> = all.iter().filter(|&p| lru.probe(p)).collect();
         prop_assert_eq!(batched.probe_range(all).hit_pages, want, "final sweep");
+        Ok(())
+    });
+}
+
+/// One timed access of a Memory-Mode stream.
+#[derive(Clone, Debug)]
+struct MmAccess {
+    range: PageRange,
+    bytes: u64,
+    write: bool,
+}
+
+#[derive(Clone, Debug)]
+struct MmCase {
+    sets: usize,
+    ways: usize,
+    accesses: Vec<MmAccess>,
+}
+
+/// Read and write ranges as in `gen_case`, each carrying from fewer bytes
+/// than pages up to three pages per page, so a read miss's fill may or may
+/// not reach past its payload.
+fn gen_mm_case(rng: &mut Rng) -> MmCase {
+    let sets = rng.gen_usize(1, 14);
+    let ways = rng.gen_usize(1, 21);
+    let mut starts = Vec::new();
+    let accesses = (0..rng.gen_usize(1, 41))
+        .map(|_| {
+            let range = gen_range(rng, sets, ways, &mut starts);
+            let bytes = rng.gen_range(0, 3 * 4096 * range.count + 1);
+            MmAccess { range, bytes, write: rng.gen_bool(0.5) }
+        })
+        .collect();
+    MmCase { sets, ways, accesses }
+}
+
+/// Shrink by dropping accesses, shortening ranges and payloads, turning
+/// writes into reads, and shrinking the geometry.
+fn shrink_mm_case(c: &MmCase) -> Vec<MmCase> {
+    let mut out = Vec::new();
+    if c.accesses.len() > 1 {
+        for keep in [&c.accesses[..c.accesses.len() / 2], &c.accesses[c.accesses.len() / 2..]] {
+            out.push(MmCase { accesses: keep.to_vec(), ..c.clone() });
+        }
+        for i in 0..c.accesses.len() {
+            let mut t = c.clone();
+            t.accesses.remove(i);
+            out.push(t);
+        }
+    }
+    for (i, a) in c.accesses.iter().enumerate() {
+        let mut smaller = Vec::new();
+        if a.range.count > 0 {
+            smaller.push(MmAccess { range: PageRange::new(a.range.first, a.range.count / 2), ..a.clone() });
+        }
+        if a.bytes > 0 {
+            smaller.push(MmAccess { bytes: a.bytes / 2, ..a.clone() });
+        }
+        if a.write {
+            smaller.push(MmAccess { write: false, ..a.clone() });
+        }
+        for s in smaller {
+            let mut t = c.clone();
+            t.accesses[i] = s;
+            out.push(t);
+        }
+    }
+    if c.sets > 1 {
+        out.push(MmCase { sets: c.sets - 1, ..c.clone() });
+    }
+    if c.ways > 1 {
+        out.push(MmCase { ways: c.ways - 1, ..c.clone() });
+    }
+    out
+}
+
+/// What `access` must report for `a`, replayed page by page on the oracle:
+/// every page pays the tag check, a hit is served by DRAM, a read miss fills
+/// the page from PMM before DRAM serves it, a write miss installs the line
+/// without a fill, and each write-back writes a page to PMM.
+fn replay(lru: &mut Lru, a: &MmAccess, cfg: &HmConfig, tag_ns: u64) -> AccessReport {
+    let mut want = AccessReport::default();
+    if a.range.is_empty() || a.bytes == 0 {
+        return want;
+    }
+    let per_model = (a.bytes / a.range.count).max(1);
+    let (base, rem) = (a.bytes / a.range.count, a.bytes % a.range.count);
+    for (i, page) in a.range.iter().enumerate() {
+        let per_pay = base + u64::from((i as u64) < rem);
+        let writebacks = lru.writebacks;
+        let hit = lru.access(page, a.write);
+        want.elapsed_ns += tag_ns + (lru.writebacks - writebacks) * cfg.slow.access_time_ns(cfg.page_size, true);
+        if !hit && !a.write {
+            want.elapsed_ns += cfg.slow.access_time_ns(cfg.page_size, false);
+        }
+        want.elapsed_ns += cfg.fast.access_time_ns(per_model, a.write);
+        if hit || a.write {
+            want.bytes_fast += per_pay;
+        } else {
+            want.bytes_slow += per_pay;
+        }
+    }
+    want.mm_accesses = a.range.count;
+    want
+}
+
+#[test]
+fn memory_mode_matches_textbook_write_back_lru() {
+    check("memory_mode_matches_textbook_write_back_lru", gen_mm_case, shrink_mm_case, |c| {
+        let lines = (c.sets * c.ways) as u64;
+        let spec = MemoryModeSpec { capacity_pages: lines, ways: c.ways as u64, tag_check_ns: 10 };
+        prop_assert_eq!(spec.sets(), c.sets as u64);
+        // Every page a stream reaches is mapped in PMM, as the Memory-Mode
+        // baseline maps them; no cache filter sits in front.
+        let cfg = HmConfig::testing().with_slow_capacity(7 * lines * 4096);
+        let mut m = MemorySystem::new(cfg.clone());
+        m.enable_memory_mode(spec);
+        let all = m.reserve(7 * lines);
+        m.map(all, Tier::Slow, 0).expect("PMM holds every page");
+        let mut lru = Lru::new(c.sets, c.ways);
+        let sweep = MmAccess { range: all, bytes: all.count, write: false };
+        // The final read sweep evicts every line the stream left, so each
+        // remaining dirty bit must show up as a write-back.
+        for (n, a) in c.accesses.iter().chain([&sweep]).enumerate() {
+            let slow = Tier::Slow.index();
+            let (read0, written0) = (m.stats().bytes_read[slow], m.stats().bytes_written[slow]);
+            let writebacks0 = lru.writebacks;
+            let misses0 = lru.misses;
+            let kind = if a.write { AccessKind::Write } else { AccessKind::Read };
+            let got = m.access(a.range, a.bytes, kind, 0);
+            let want = replay(&mut lru, a, &cfg, spec.tag_check_ns);
+            prop_assert_eq!(got, want, "op {n}: report of {range}", range = a.range);
+            let stats = *m.memory_mode_stats().expect("Memory Mode is on");
+            prop_assert_eq!(stats.hits, lru.hits, "op {n}: hit counter");
+            prop_assert_eq!(stats.misses, lru.misses, "op {n}: miss counter");
+            prop_assert_eq!(stats.writebacks, lru.writebacks, "op {n}: write-back counter");
+            // PMM traffic: a read miss reads the whole page or its payload,
+            // whichever is larger; each write-back writes one page.
+            let per_model = if a.bytes == 0 { 0 } else { (a.bytes / a.range.count.max(1)).max(1) };
+            let read_misses = if a.write { 0 } else { lru.misses - misses0 };
+            let read = m.stats().bytes_read[slow] - read0;
+            prop_assert_eq!(read, read_misses * per_model.max(cfg.page_size), "op {n}: PMM bytes read");
+            let written = m.stats().bytes_written[slow] - written0;
+            prop_assert_eq!(written, (lru.writebacks - writebacks0) * cfg.page_size, "op {n}: PMM bytes written");
+        }
         Ok(())
     });
 }

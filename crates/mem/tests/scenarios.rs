@@ -142,6 +142,34 @@ fn memory_mode_write_miss_does_not_fill() {
 }
 
 #[test]
+fn memory_mode_write_backs_are_pmm_writes() {
+    // (evicting access, its payload, PMM bytes read, PMM bytes written)
+    for (kind, bytes, read, written) in [
+        (AccessKind::Write, 4096, 0, 4096),
+        (AccessKind::Write, 2048, 0, 4096),
+        (AccessKind::Read, 4096, 4096, 4096),
+    ] {
+        let mut m = sys_with(8, 256);
+        m.enable_memory_mode(MemoryModeSpec::with_capacity_pages(8));
+        m.enable_timeline(1_000);
+        let r = m.reserve(9);
+        m.map(r, Tier::Slow, 0).unwrap();
+        // Dirty page 0, then miss on page 8, which maps to the same line.
+        m.access(PageRange::new(0, 1), 4096, AccessKind::Write, 0);
+        let before = m.stats().clone();
+        let slow_before: u64 = m.timeline().unwrap().samples().iter().map(|s| s.slow_bytes).sum();
+        m.access(PageRange::new(8, 1), bytes, kind, 0);
+        assert_eq!(m.memory_mode_stats().unwrap().writebacks, 1);
+        let after = m.stats();
+        let slow = Tier::Slow.index();
+        assert_eq!(after.bytes_read[slow] - before.bytes_read[slow], read, "{kind:?} of {bytes} B: read");
+        assert_eq!(after.bytes_written[slow] - before.bytes_written[slow], written, "{kind:?} of {bytes} B: written");
+        let slow_after: u64 = m.timeline().unwrap().samples().iter().map(|s| s.slow_bytes).sum();
+        assert_eq!(slow_after - slow_before, read + written, "{kind:?} of {bytes} B: timeline");
+    }
+}
+
+#[test]
 fn timeline_buckets_cover_the_whole_run() {
     let mut m = sys_with(32, 256);
     m.enable_timeline(1_000);

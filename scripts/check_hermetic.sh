@@ -14,16 +14,36 @@ cargo test -q --offline
 echo "== rustdoc: public docs build without warnings (dangling links fail) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-echo "== chaos smoke: fixed-seed faulty run completes end to end =="
-SENTINEL_FAULT_SEED=0xFA17 SENTINEL_FAULT_PROFILE=light \
-    cargo run -q --offline --release -p sentinel-bench --bin run_experiments -- --fast --jobs 2 chaos
-
-echo "== trace smoke: --trace-dir emits Chrome trace files =="
 repo_root=$PWD
 trace_tmp=$(mktemp -d)
 trap 'rm -rf "$trace_tmp"' EXIT
+
+echo "== chaos smoke: fixed-seed faulty run reproduces results/chaos.json =="
 # Run from a scratch cwd: the runner writes a relative results/ directory,
 # which must not touch the committed results.
+( cd "$trace_tmp" && SENTINEL_FAULT_SEED=0xFA17 SENTINEL_FAULT_PROFILE=light \
+    "$repo_root/target/release/run_experiments" --fast --jobs 2 chaos )
+if ! cmp "$trace_tmp/results/chaos.json" results/chaos.json; then
+    echo "FAIL: the chaos smoke did not reproduce results/chaos.json" >&2
+    exit 1
+fi
+
+echo "== full-mode goldens: a full run reproduces the committed results =="
+# The committed results/*.json and EXPERIMENTS_GENERATED.md are the
+# behaviour contract, and perfbench's gate covers fast mode only. A full run
+# in its own scratch cwd must rewrite each file it writes byte-identically.
+golden_tmp="$trace_tmp/golden"
+mkdir "$golden_tmp"
+( cd "$golden_tmp" && "$repo_root/target/release/run_experiments" --jobs 2 > /dev/null )
+for out in "$golden_tmp"/results/*.json "$golden_tmp/EXPERIMENTS_GENERATED.md"; do
+    committed=${out#"$golden_tmp"/}
+    if ! cmp "$out" "$committed"; then
+        echo "FAIL: the full run changed $committed" >&2
+        exit 1
+    fi
+done
+
+echo "== trace smoke: --trace-dir emits Chrome trace files =="
 ( cd "$trace_tmp" && \
     "$repo_root/target/release/run_experiments" --fast --jobs 2 --trace-dir traces fig7 )
 trace_count=$(find "$trace_tmp/traces" -name '*.trace.json' | wc -l)
