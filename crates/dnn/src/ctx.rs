@@ -291,15 +291,7 @@ impl<'g> ExecCtx<'g> {
     /// Bytes of `t` currently resident in `tier` (0 if not allocated).
     #[must_use]
     pub fn tensor_bytes_in(&self, t: TensorId, tier: Tier) -> u64 {
-        match self.placement(t) {
-            Some(a) => self
-                .mem
-                .subranges_in_tier(a.pages, tier)
-                .iter()
-                .map(|r| r.bytes(self.mem.page_size()))
-                .sum(),
-            None => 0,
-        }
+        self.placement(t).map_or(0, |a| self.mem.pages_in_tier(a.pages, tier) * self.mem.page_size())
     }
 
     /// Metadata shortcut: the graph tensor for an id.

@@ -242,27 +242,28 @@ impl MemorySystem {
     /// # Errors
     ///
     /// [`MemError::OutOfRange`] if the range was not reserved or
-    /// [`MemError::NotMapped`] if any page is not mapped.
+    /// [`MemError::NotMapped`] if any page is not mapped; either error
+    /// leaves the table and every migration as they were.
     pub fn unmap(&mut self, range: PageRange, now: Ns) -> Result<(), MemError> {
         self.last_now = self.last_now.max(now);
         self.table.check_range(range)?;
-        // Abort overlapping in-flight batches before releasing frames.
+        // Validate the whole range before touching anything, so a failed
+        // unmap leaves every migration in flight.
+        if let Some(run) = self.table.runs_in(range).find(|run| run.pte.state == PageState::Unmapped) {
+            return Err(MemError::NotMapped { page: run.range.first });
+        }
+        // Abort overlapping in-flight batches before releasing frames. The
+        // abort polls, which may land copies, so the pages released per tier
+        // are read from the table's cached counts only afterwards.
         if self.table.any_in_flight(range) {
             self.abort_migrations_overlapping(range, now);
         }
-        // Validate and count per-tier pages in one run-granular pass, then
-        // release everything in bulk.
-        let mut per_tier = [0u64; 2];
-        for run in self.table.runs_in(range) {
-            match run.pte.state {
-                PageState::Mapped(t) => per_tier[t.index()] += run.range.count,
-                PageState::Unmapped => return Err(MemError::NotMapped { page: run.range.first }),
-            }
-        }
+        let before = self.table.mapped_counts();
         self.table.set_state(range, PageState::Unmapped);
         self.table.set_poisoned(range, false);
+        let after = self.table.mapped_counts();
         for tier in Tier::both() {
-            self.used_pages[tier.index()] -= per_tier[tier.index()];
+            self.used_pages[tier.index()] -= before[tier.index()] - after[tier.index()];
         }
         if let Some(cache) = &mut self.cache {
             cache.invalidate_range(range);
@@ -317,17 +318,30 @@ impl MemorySystem {
     #[must_use]
     pub fn subranges_in_tier(&self, range: PageRange, tier: Tier) -> Vec<PageRange> {
         let mut out: Vec<PageRange> = Vec::new();
-        for run in self.table.runs_in(range) {
-            if run.pte.state == PageState::Mapped(tier) && !run.pte.in_flight {
-                // Adjacent runs may differ only in the poison bit; they are
-                // one contiguous eligible sub-range and must merge.
-                match out.last_mut() {
-                    Some(last) if last.end() == run.range.first => last.count += run.range.count,
-                    _ => out.push(run.range),
-                }
+        for run in self.runs_in_tier(range, tier) {
+            // Adjacent runs may differ only in the poison bit; they are one
+            // contiguous eligible sub-range and must merge.
+            match out.last_mut() {
+                Some(last) if last.end() == run.first => last.count += run.count,
+                _ => out.push(run),
             }
         }
         out
+    }
+
+    /// Pages of `range` currently mapped in `tier` and not in flight: the
+    /// pages of [`MemorySystem::subranges_in_tier`], counted without
+    /// collecting them.
+    #[must_use]
+    pub fn pages_in_tier(&self, range: PageRange, tier: Tier) -> u64 {
+        self.runs_in_tier(range, tier).map(|run| run.count).sum()
+    }
+
+    fn runs_in_tier(&self, range: PageRange, tier: Tier) -> impl Iterator<Item = PageRange> + '_ {
+        self.table
+            .runs_in(range)
+            .filter(move |run| run.pte.state == PageState::Mapped(tier) && !run.pte.in_flight)
+            .map(|run| run.range)
     }
 
     // --------------------------------------------------------------- access
@@ -467,8 +481,7 @@ impl MemorySystem {
     /// Probes the cache, faults and services memory one page at a time —
     /// exactly the pre-batching pipeline. The equivalence property suite
     /// drives this and the run-granular fast path over the same inputs and
-    /// requires identical reports, stats, timelines and component state; the
-    /// access-path bench uses it as the baseline.
+    /// requires identical reports, stats, timelines and component state.
     pub fn access_per_page(&mut self, range: PageRange, bytes: u64, kind: AccessKind, now: Ns) -> AccessReport {
         let mut report = AccessReport::default();
         if range.is_empty() || bytes == 0 {
@@ -1760,6 +1773,11 @@ mod tests {
         assert_eq!(subs, vec![PageRange::new(0, 2), PageRange::new(4, 2)]);
         let slow = m.subranges_in_tier(r, Tier::Slow);
         assert_eq!(slow, vec![PageRange::new(2, 2)]);
+        assert_eq!((m.pages_in_tier(r, Tier::Fast), m.pages_in_tier(r, Tier::Slow)), (4, 2));
+        // In-flight pages are in neither list nor count.
+        m.migrate(PageRange::new(4, 1), Tier::Slow, 0).unwrap();
+        assert_eq!(m.subranges_in_tier(r, Tier::Fast), vec![PageRange::new(0, 2), PageRange::new(5, 1)]);
+        assert_eq!((m.pages_in_tier(r, Tier::Fast), m.pages_in_tier(r, Tier::Slow)), (3, 2));
     }
 
     #[test]

@@ -1,11 +1,30 @@
 //! Software page table.
 //!
-//! Each reserved virtual page has a [`Pte`] recording where (and whether) it
-//! is mapped, plus the poison bit used by the profiling mechanism — the
-//! simulated analogue of the reserved PTE bit 51 the paper sets in the Linux
-//! kernel.
+//! Each reserved virtual page has a one-byte entry recording where (and
+//! whether) it is mapped, whether a migration of it is in flight, and the
+//! poison bit used by the profiling mechanism — the simulated analogue of
+//! the reserved PTE bit 51 the paper sets in the Linux kernel:
+//!
+//! | bit | set when |
+//! |---|---|
+//! | 0 | mapped in [`Tier::Fast`] |
+//! | 1 | mapped in [`Tier::Slow`] |
+//! | 2 | poisoned |
+//! | 3 | a migration is in flight |
+//!
+//! An unmapped page has neither state bit, so a fresh entry is `0`. Equal
+//! entries are equal bytes, which lets [`PageTable::runs_in`] find the end
+//! of a run eight entries per compare. [`Pte`] is the decoded view of one
+//! entry.
 
 use crate::{MemError, PageRange, Tier};
+
+/// The two state bits: bit [`Tier::index`] is set when mapped in that tier.
+const MAPPED: u8 = 0b0011;
+/// The poison bit.
+const POISONED: u8 = 0b0100;
+/// The in-flight bit.
+const IN_FLIGHT: u8 = 0b1000;
 
 /// Mapping state of a virtual page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -16,7 +35,7 @@ pub enum PageState {
     Mapped(Tier),
 }
 
-/// A page table entry.
+/// A page table entry, decoded from its byte (layout in the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pte {
     /// Mapping state.
@@ -31,6 +50,15 @@ pub struct Pte {
 impl Pte {
     /// The default entry: reserved but unmapped, clean, not migrating.
     pub const UNMAPPED: Pte = Pte { state: PageState::Unmapped, poisoned: false, in_flight: false };
+
+    fn from_bits(entry: u8) -> Pte {
+        let state = match entry & MAPPED {
+            0 => PageState::Unmapped,
+            1 => PageState::Mapped(Tier::Fast),
+            _ => PageState::Mapped(Tier::Slow),
+        };
+        Pte { state, poisoned: entry & POISONED != 0, in_flight: entry & IN_FLIGHT != 0 }
+    }
 }
 
 impl Default for Pte {
@@ -44,7 +72,8 @@ impl Default for Pte {
 /// Produced by [`PageTable::runs_in`]. Because Sentinel co-allocates tensors
 /// with the same lifetime/hotness onto contiguous pages, real tables decay
 /// into a handful of runs per tensor range — the access pipeline exploits
-/// that to do O(runs) work instead of O(pages).
+/// that to do its cache, fault and traffic work once per run instead of
+/// once per page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PteRun {
     /// The pages of the run.
@@ -58,7 +87,7 @@ pub struct PteRun {
 #[derive(Debug, Clone)]
 pub struct PteRuns<'a> {
     /// In-table entries of the queried range.
-    entries: &'a [Pte],
+    entries: &'a [u8],
     /// Page number of `entries[0]`.
     base: u64,
     /// Cursor into `entries`.
@@ -69,48 +98,55 @@ pub struct PteRuns<'a> {
     tail: u64,
 }
 
+/// How many leading `entries` equal `entry`, compared eight at a time: in a
+/// little-endian word XOR the byte repeated eight times, the lowest set bit
+/// lies in the first entry that differs.
+fn run_len(entries: &[u8], entry: u8) -> usize {
+    let repeated = u64::from_le_bytes([entry; 8]);
+    let mut words = entries.chunks_exact(8);
+    let mut len = 0;
+    for word in &mut words {
+        let diff = u64::from_le_bytes(word.try_into().expect("8-byte chunk")) ^ repeated;
+        if diff != 0 {
+            return len + diff.trailing_zeros() as usize / 8;
+        }
+        len += 8;
+    }
+    len + words.remainder().iter().take_while(|&&e| e == entry).count()
+}
+
 impl Iterator for PteRuns<'_> {
     type Item = PteRun;
 
     fn next(&mut self) -> Option<PteRun> {
-        if self.pos < self.entries.len() {
-            let start = self.pos;
-            let pte = self.entries[start];
-            let mut end = start + 1;
-            while end < self.entries.len() && self.entries[end] == pte {
-                end += 1;
-            }
-            self.pos = end;
-            let mut count = (end - start) as u64;
-            // Merge the synthetic out-of-table tail into a final unmapped run.
-            if end == self.entries.len() && pte == Pte::UNMAPPED && self.tail > 0 {
-                count += self.tail;
-                self.tail = 0;
-            }
-            return Some(PteRun { range: PageRange::new(self.base + start as u64, count), pte });
+        let start = self.pos;
+        let first = self.base + start as u64;
+        let Some(&entry) = self.entries.get(start) else {
+            // Only the synthetic out-of-table tail is left, if anything.
+            let count = std::mem::take(&mut self.tail);
+            return (count > 0).then(|| PteRun { range: PageRange::new(first, count), pte: Pte::UNMAPPED });
+        };
+        self.pos = start + 1 + run_len(&self.entries[start + 1..], entry);
+        let mut count = (self.pos - start) as u64;
+        // Merge the synthetic out-of-table tail into a final unmapped run.
+        if self.pos == self.entries.len() && entry == 0 {
+            count += std::mem::take(&mut self.tail);
         }
-        if self.tail > 0 {
-            let run = PteRun {
-                range: PageRange::new(self.base + self.entries.len() as u64, self.tail),
-                pte: Pte::UNMAPPED,
-            };
-            self.tail = 0;
-            return Some(run);
-        }
-        None
+        Some(PteRun { range: PageRange::new(first, count), pte: Pte::from_bits(entry) })
     }
 }
 
-/// A growable page table over the reserved virtual address space.
+/// A growable page table over the reserved virtual address space, one byte
+/// per page (layout in the module docs).
 ///
-/// Global bit counts (mapped per tier, in-flight, poisoned) are cached and
-/// maintained by the bulk setters, so the residency sanitizer's whole-table
-/// queries are O(1) instead of O(reserved pages). Writing entries directly
-/// through [`PageTable::get_mut`] bypasses the caches — production code must
-/// use the bulk setters.
+/// Global bit counts (mapped per tier, in-flight, poisoned) are cached, so
+/// the residency sanitizer's whole-table queries are O(1) instead of
+/// O(reserved pages). The bulk setters keep them exact: each counts the
+/// runs of the entries it is about to overwrite (a scan at eight entries
+/// per compare), then overwrites their bits in one byte loop.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct PageTable {
-    entries: Vec<Pte>,
+    entries: Vec<u8>,
     /// Cached mapped-page count per tier, by [`Tier::index`].
     mapped: [u64; 2],
     /// Cached count of pages with the in-flight flag set.
@@ -135,7 +171,7 @@ impl PageTable {
     /// Extend the virtual address space by `count` pages, returning the new range.
     pub fn reserve(&mut self, count: u64) -> PageRange {
         let first = self.entries.len() as u64;
-        self.entries.resize(self.entries.len() + count as usize, Pte::UNMAPPED);
+        self.entries.resize(self.entries.len() + count as usize, 0);
         PageRange::new(first, count)
     }
 
@@ -144,22 +180,11 @@ impl PageTable {
     /// # Errors
     ///
     /// Returns [`MemError::OutOfRange`] if the page was never reserved.
-    pub fn get(&self, page: u64) -> Result<&Pte, MemError> {
+    pub fn get(&self, page: u64) -> Result<Pte, MemError> {
         self.entries
             .get(page as usize)
+            .map(|&entry| Pte::from_bits(entry))
             .ok_or(MemError::OutOfRange { range: PageRange::new(page, 1), reserved: self.reserved() })
-    }
-
-    /// Mutable entry for `page`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::OutOfRange`] if the page was never reserved.
-    pub fn get_mut(&mut self, page: u64) -> Result<&mut Pte, MemError> {
-        let reserved = self.reserved();
-        self.entries
-            .get_mut(page as usize)
-            .ok_or(MemError::OutOfRange { range: PageRange::new(page, 1), reserved })
     }
 
     /// Validate that an entire range was reserved.
@@ -177,23 +202,10 @@ impl PageTable {
     /// The tier a page is mapped in, if any.
     #[must_use]
     pub fn tier_of(&self, page: u64) -> Option<Tier> {
-        match self.entries.get(page as usize)?.state {
+        match self.get(page).ok()?.state {
             PageState::Mapped(t) => Some(t),
             PageState::Unmapped => None,
         }
-    }
-
-    /// Iterate over `(page, pte)` for every mapped page in a range.
-    ///
-    /// Lazy: borrows the table directly instead of materialising the range
-    /// into an intermediate `Vec` — this is a hot query on large tensors.
-    pub fn mapped_in(&self, range: PageRange) -> impl Iterator<Item = (u64, &Pte)> + '_ {
-        let (slice, base) = self.in_table(range);
-        slice
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| matches!(e.state, PageState::Mapped(_)))
-            .map(move |(i, e)| (base + i as u64, e))
     }
 
     /// Iterate over the maximal runs of consecutive pages with identical PTE
@@ -203,92 +215,85 @@ impl PageTable {
     /// are reported as (part of) a trailing [`Pte::UNMAPPED`] run rather than
     /// being skipped — the iterator always covers `range.count` pages.
     pub fn runs_in(&self, range: PageRange) -> PteRuns<'_> {
-        let (slice, base) = self.in_table(range);
-        PteRuns { entries: slice, base, pos: 0, tail: range.count - slice.len() as u64 }
-    }
-
-    /// The in-table entries of `range` plus the page number of the first one
-    /// (clamps to the reserved prefix; `base == range.first` always).
-    fn in_table(&self, range: PageRange) -> (&[Pte], u64) {
         let start = (range.first as usize).min(self.entries.len());
         let end = (range.end() as usize).min(self.entries.len()).max(start);
-        (&self.entries[start..end], range.first)
+        let tail = range.count - (end - start) as u64;
+        PteRuns { entries: &self.entries[start..end], base: range.first, pos: 0, tail }
     }
 
-    /// Set the mapping state of every page in `range` (bulk analogue of
-    /// writing `get_mut(p).state` per page). The range must be reserved.
+    /// Set the mapping state of every page in `range`. The range must be
+    /// reserved.
     pub fn set_state(&mut self, range: PageRange, state: PageState) {
-        debug_assert!(range.end() <= self.reserved(), "set_state out of range");
-        let mut delta = [0i64; 2];
-        for pte in &mut self.entries[range.first as usize..range.end() as usize] {
-            if let PageState::Mapped(t) = pte.state {
-                delta[t.index()] -= 1;
-            }
-            pte.state = state;
-            if let PageState::Mapped(t) = state {
-                delta[t.index()] += 1;
+        let mut was = [0u64; 2];
+        for run in self.runs_in(range) {
+            if let PageState::Mapped(t) = run.pte.state {
+                was[t.index()] += run.range.count;
             }
         }
-        for (cached, d) in self.mapped.iter_mut().zip(delta) {
-            *cached = (*cached as i64 + d) as u64;
+        for (cached, was) in self.mapped.iter_mut().zip(was) {
+            *cached -= was;
         }
+        let bits = match state {
+            PageState::Unmapped => 0,
+            PageState::Mapped(t) => {
+                self.mapped[t.index()] += range.count;
+                1 << t.index()
+            }
+        };
+        self.overwrite(range, MAPPED, bits);
+    }
+
+    /// Replace the `mask` bits of every entry of a reserved `range` by `bits`.
+    fn overwrite(&mut self, range: PageRange, mask: u8, bits: u8) {
+        debug_assert!(range.end() <= self.reserved(), "bulk write out of range");
+        for entry in &mut self.entries[range.first as usize..range.end() as usize] {
+            *entry = (*entry & !mask) | bits;
+        }
+    }
+
+    /// Pages of `range` whose entry satisfies `has`, counted run by run.
+    fn count(&self, range: PageRange, has: impl Fn(Pte) -> bool) -> u64 {
+        self.runs_in(range).filter(|run| has(run.pte)).map(|run| run.range.count).sum()
     }
 
     /// Set the poison bit of every page in `range`. The range must be reserved.
     pub fn set_poisoned(&mut self, range: PageRange, poisoned: bool) {
-        debug_assert!(range.end() <= self.reserved(), "set_poisoned out of range");
-        let mut changed = 0u64;
-        for pte in &mut self.entries[range.first as usize..range.end() as usize] {
-            changed += u64::from(pte.poisoned != poisoned);
-            pte.poisoned = poisoned;
-        }
-        if poisoned {
-            self.poisoned += changed;
-        } else {
-            self.poisoned -= changed;
-        }
+        self.poisoned -= self.count(range, |pte| pte.poisoned);
+        self.poisoned += if poisoned { range.count } else { 0 };
+        self.overwrite(range, POISONED, if poisoned { POISONED } else { 0 });
     }
 
     /// Set the in-flight flag of every page in `range`. The range must be
     /// reserved.
     pub fn set_in_flight(&mut self, range: PageRange, in_flight: bool) {
-        debug_assert!(range.end() <= self.reserved(), "set_in_flight out of range");
-        let mut changed = 0u64;
-        for pte in &mut self.entries[range.first as usize..range.end() as usize] {
-            changed += u64::from(pte.in_flight != in_flight);
-            pte.in_flight = in_flight;
-        }
-        if in_flight {
-            self.in_flight += changed;
-        } else {
-            self.in_flight -= changed;
-        }
+        self.in_flight -= self.count(range, |pte| pte.in_flight);
+        self.in_flight += if in_flight { range.count } else { 0 };
+        self.overwrite(range, IN_FLIGHT, if in_flight { IN_FLIGHT } else { 0 });
     }
 
     /// Whether any page of `range` has a migration in flight (out-of-table
     /// pages never do).
     #[must_use]
     pub fn any_in_flight(&self, range: PageRange) -> bool {
-        let (slice, _) = self.in_table(range);
-        slice.iter().any(|e| e.in_flight)
+        self.runs_in(range).any(|run| run.pte.in_flight)
     }
 
     /// Poison every mapped page in the whole table (profiling start).
     pub fn poison_all_mapped(&mut self) {
         let mut count = 0u64;
-        for pte in &mut self.entries {
-            if matches!(pte.state, PageState::Mapped(_)) {
-                pte.poisoned = true;
+        for entry in &mut self.entries {
+            if *entry & MAPPED != 0 {
+                *entry |= POISONED;
             }
-            count += u64::from(pte.poisoned);
+            count += u64::from(*entry & POISONED != 0);
         }
         self.poisoned = count;
     }
 
     /// Clear the poison bit of every page in the table (profiling stop).
     pub fn unpoison_all(&mut self) {
-        for pte in &mut self.entries {
-            pte.poisoned = false;
+        for entry in &mut self.entries {
+            *entry &= !POISONED;
         }
         self.poisoned = 0;
     }
@@ -392,32 +397,6 @@ mod tests {
     }
 
     #[test]
-    fn bulk_setters_match_per_page_writes() {
-        let mut a = PageTable::new();
-        let mut b = PageTable::new();
-        let r = a.reserve(6);
-        b.reserve(6);
-        a.set_state(PageRange::new(1, 4), PageState::Mapped(Tier::Fast));
-        a.set_poisoned(PageRange::new(2, 2), true);
-        a.set_in_flight(PageRange::new(3, 3), true);
-        for p in 1..5 {
-            b.get_mut(p).unwrap().state = PageState::Mapped(Tier::Fast);
-        }
-        for p in 2..4 {
-            b.get_mut(p).unwrap().poisoned = true;
-        }
-        for p in 3..6 {
-            b.get_mut(p).unwrap().in_flight = true;
-        }
-        for p in r.iter() {
-            assert_eq!(a.get(p).unwrap(), b.get(p).unwrap(), "page {p}");
-        }
-        assert!(a.any_in_flight(PageRange::new(3, 1)));
-        assert!(!a.any_in_flight(PageRange::new(0, 3)));
-        assert!(!a.any_in_flight(PageRange::new(20, 4)));
-    }
-
-    #[test]
     fn poison_all_and_unpoison_all() {
         let mut t = PageTable::new();
         t.reserve(4);
@@ -433,12 +412,11 @@ mod tests {
     #[test]
     fn mapping_is_visible_through_queries() {
         let mut t = PageTable::new();
-        let r = t.reserve(4);
+        t.reserve(4);
         t.set_state(PageRange::new(1, 1), PageState::Mapped(Tier::Fast));
         t.set_state(PageRange::new(2, 1), PageState::Mapped(Tier::Slow));
         assert_eq!(t.tier_of(1), Some(Tier::Fast));
         assert_eq!(t.tier_of(2), Some(Tier::Slow));
-        assert_eq!(t.mapped_in(r).count(), 2);
         assert_eq!(t.mapped_counts(), [1, 1]);
     }
 

@@ -208,6 +208,23 @@ fn cancel_overlapping_keeps_other_batches_alive() {
 }
 
 #[test]
+fn failed_unmap_leaves_migrations_in_flight() {
+    let mut m = MemorySystem::new(HmConfig::testing());
+    let r = m.reserve(6);
+    let mapped = PageRange::new(r.first, 4);
+    m.map(mapped, Tier::Slow, 0).unwrap();
+    let ticket = m.migrate(mapped, Tier::Fast, 0).unwrap();
+    // The range also covers two unmapped pages, so the unmap fails...
+    assert!(matches!(m.unmap(r, 0), Err(MemError::NotMapped { page: 4 })));
+    // ...and must not cancel the promotion of the pages that stay mapped.
+    assert_eq!(m.range_ready_at(mapped), Some(ticket.ready_at));
+    assert_eq!(m.used_pages(Tier::Fast), 4);
+    m.poll(ticket.ready_at);
+    assert_eq!(m.tier_of(mapped.first), Some(Tier::Fast));
+    assert_eq!((m.used_pages(Tier::Fast), m.used_pages(Tier::Slow)), (4, 0));
+}
+
+#[test]
 fn stats_reset_preserves_placement_state() {
     let mut m = sys_with(32, 256);
     let r = m.reserve(4);

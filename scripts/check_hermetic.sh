@@ -116,6 +116,11 @@ if ! wait "$daemon_pid"; then
     exit 1
 fi
 
+echo "== perfbench unit tests =="
+# perfbench is a package of its own, so the workspace test run above does not
+# build it; --release reuses the build the gate below runs.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "== perfbench gate: simulated output matches the stored references =="
 # One short run per workload. The last line of perfbench's output is its
 # result; every operation must match perfbench/refs.json. The traced
