@@ -93,11 +93,8 @@ impl MemoryManager for AutoTm {
     }
 
     fn tier_for(&mut self, tensor: &Tensor, ctx: &ExecCtx<'_>) -> Tier {
-        if !self.assigned_fast[tensor.id.index()] {
-            return Tier::Slow;
-        }
         let pages = pages_for_bytes(tensor.bytes, ctx.mem().page_size());
-        if pages <= ctx.mem().free_pages(Tier::Fast) {
+        if self.assigned_fast[tensor.id.index()] && pages <= ctx.mem().free_pages(Tier::Fast) {
             Tier::Fast
         } else {
             Tier::Slow

@@ -11,9 +11,9 @@
 
 use crate::common::{ensure_resident_sync, StaticProfile};
 use sentinel_dnn::{
-    ExecCtx, Graph, MemoryManager, PoolSpec, Tensor, TensorId,
+    ExecCtx, Graph, MemoryManager, PoolSpec, TensorId,
 };
-use sentinel_mem::{pages_for_bytes, AccessKind, Ns, Tier};
+use sentinel_mem::{AccessKind, Ns, Tier};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Decision {
@@ -95,15 +95,6 @@ impl MemoryManager for Capuchin {
     fn on_train_begin(&mut self, ctx: &mut ExecCtx<'_>) {
         self.profile = Some(StaticProfile::new(ctx.graph()));
         self.decisions = vec![Decision::Keep; ctx.graph().num_tensors()];
-    }
-
-    fn tier_for(&mut self, tensor: &Tensor, ctx: &ExecCtx<'_>) -> Tier {
-        let pages = pages_for_bytes(tensor.bytes, ctx.mem().page_size());
-        if pages <= ctx.mem().free_pages(Tier::Fast) {
-            Tier::Fast
-        } else {
-            Tier::Slow
-        }
     }
 
     fn before_layer(&mut self, layer: usize, ctx: &mut ExecCtx<'_>) {

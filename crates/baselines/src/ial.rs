@@ -8,7 +8,7 @@
 //! IAL ~37% behind Sentinel (the other being page-level false sharing,
 //! which IAL inherits from the packed allocator).
 
-use sentinel_dnn::{ExecCtx, MemoryManager, Tensor, TensorId};
+use sentinel_dnn::{ExecCtx, MemoryManager, TensorId};
 use sentinel_mem::{pages_for_bytes, AccessKind, Tier};
 use std::collections::VecDeque;
 
@@ -89,15 +89,6 @@ impl MemoryManager for Ial {
 
     fn on_step_begin(&mut self, _ctx: &mut ExecCtx<'_>) {
         self.promoted_this_step = 0;
-    }
-
-    fn tier_for(&mut self, tensor: &Tensor, ctx: &ExecCtx<'_>) -> Tier {
-        let pages = pages_for_bytes(tensor.bytes, ctx.mem().page_size());
-        if pages <= ctx.mem().free_pages(Tier::Fast) {
-            Tier::Fast
-        } else {
-            Tier::Slow
-        }
     }
 
     fn on_alloc(&mut self, tensor: TensorId, ctx: &mut ExecCtx<'_>) {

@@ -3,8 +3,7 @@
 //! DRAM and PMM are two NUMA nodes; pages land on the "local" (fast) node
 //! until it fills, then spill to the far node. Nothing ever migrates.
 
-use sentinel_dnn::{ExecCtx, MemoryManager, Tensor};
-use sentinel_mem::{pages_for_bytes, Tier};
+use sentinel_dnn::MemoryManager;
 
 /// The first-touch NUMA baseline.
 #[derive(Debug, Clone, Copy, Default)]
@@ -21,15 +20,6 @@ impl FirstTouchNuma {
 impl MemoryManager for FirstTouchNuma {
     fn name(&self) -> &str {
         "first-touch"
-    }
-
-    fn tier_for(&mut self, tensor: &Tensor, ctx: &ExecCtx<'_>) -> Tier {
-        let pages = pages_for_bytes(tensor.bytes, ctx.mem().page_size());
-        if pages <= ctx.mem().free_pages(Tier::Fast) {
-            Tier::Fast
-        } else {
-            Tier::Slow
-        }
     }
 }
 

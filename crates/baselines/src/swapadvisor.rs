@@ -12,8 +12,8 @@
 
 use crate::common::{ensure_resident_sync, StaticProfile};
 use sentinel_util::{Pool, Rng};
-use sentinel_dnn::{ExecCtx, Graph, MemoryManager, Tensor, TensorId};
-use sentinel_mem::{pages_for_bytes, AccessKind, Tier};
+use sentinel_dnn::{ExecCtx, Graph, MemoryManager, TensorId};
+use sentinel_mem::{AccessKind, Tier};
 
 const POPULATION: usize = 16;
 const GENERATIONS: usize = 20;
@@ -187,15 +187,6 @@ fn ga_search(
 impl MemoryManager for SwapAdvisor {
     fn name(&self) -> &str {
         "swapadvisor"
-    }
-
-    fn tier_for(&mut self, tensor: &Tensor, ctx: &ExecCtx<'_>) -> Tier {
-        let pages = pages_for_bytes(tensor.bytes, ctx.mem().page_size());
-        if pages <= ctx.mem().free_pages(Tier::Fast) {
-            Tier::Fast
-        } else {
-            Tier::Slow
-        }
     }
 
     fn before_layer(&mut self, layer: usize, ctx: &mut ExecCtx<'_>) {

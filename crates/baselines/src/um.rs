@@ -5,7 +5,7 @@
 //! when full. Every fault and copy sits on the critical path, which is why
 //! the paper measures Sentinel 1.1–7.8× faster.
 
-use sentinel_dnn::{ExecCtx, MemoryManager, Tensor, TensorId};
+use sentinel_dnn::{ExecCtx, MemoryManager, TensorId};
 use sentinel_mem::{pages_for_bytes, AccessKind, Tier};
 
 /// The Unified-Memory baseline policy.
@@ -50,15 +50,6 @@ impl MemoryManager for UnifiedMemory {
 
     fn on_train_begin(&mut self, ctx: &mut ExecCtx<'_>) {
         self.last_touch = vec![0; ctx.graph().num_tensors()];
-    }
-
-    fn tier_for(&mut self, tensor: &Tensor, ctx: &ExecCtx<'_>) -> Tier {
-        let pages = pages_for_bytes(tensor.bytes, ctx.mem().page_size());
-        if pages <= ctx.mem().free_pages(Tier::Fast) {
-            Tier::Fast
-        } else {
-            Tier::Slow
-        }
     }
 
     fn before_access(&mut self, tensor: TensorId, _kind: AccessKind, ctx: &mut ExecCtx<'_>) {

@@ -8,8 +8,8 @@
 //! so prefetches are frequently late and the copy is exposed.
 
 use crate::common::{conv_input_activations, ensure_resident_sync, has_conv, StaticProfile};
-use sentinel_dnn::{ExecCtx, Graph, MemoryManager, Tensor, TensorId};
-use sentinel_mem::{pages_for_bytes, AccessKind, Tier};
+use sentinel_dnn::{ExecCtx, Graph, MemoryManager, TensorId};
+use sentinel_mem::{AccessKind, Tier};
 
 /// The vDNN baseline policy.
 #[derive(Debug)]
@@ -42,15 +42,6 @@ impl MemoryManager for Vdnn {
 
     fn on_train_begin(&mut self, ctx: &mut ExecCtx<'_>) {
         self.profile = Some(StaticProfile::new(ctx.graph()));
-    }
-
-    fn tier_for(&mut self, tensor: &Tensor, ctx: &ExecCtx<'_>) -> Tier {
-        let pages = pages_for_bytes(tensor.bytes, ctx.mem().page_size());
-        if pages <= ctx.mem().free_pages(Tier::Fast) {
-            Tier::Fast
-        } else {
-            Tier::Slow
-        }
     }
 
     fn before_layer(&mut self, layer: usize, ctx: &mut ExecCtx<'_>) {

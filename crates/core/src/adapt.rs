@@ -328,6 +328,11 @@ pub(crate) struct AdaptState {
     pub(crate) layer_baseline: Option<Vec<u64>>,
     /// Slow-access counter at the current step's begin.
     pub(crate) step_slow0: u64,
+    /// Slow-memory accesses of each layer in the current step: the drift
+    /// localizer's evidence.
+    pub(crate) layer_slow: Vec<u64>,
+    /// Slow-access counter at the current layer's begin.
+    pub(crate) layer_slow0: u64,
     /// Stall-time total at the current step's begin.
     pub(crate) step_stall0: Ns,
     /// Whether the current trip has already been acted on (hysteresis at
@@ -359,6 +364,8 @@ impl AdaptState {
             stall_detector,
             layer_baseline: None,
             step_slow0: 0,
+            layer_slow: Vec::new(),
+            layer_slow0: 0,
             step_stall0: 0,
             drift_handled: false,
             pending: None,

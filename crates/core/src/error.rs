@@ -29,16 +29,6 @@ pub enum SentinelError {
     },
 }
 
-impl SentinelError {
-    /// Whether this is the solver's zero-migration-budget condition — the
-    /// one re-solve failure the adaptive loop classifies specially (it is
-    /// a capacity statement about the *workload*, not a transient fault).
-    #[must_use]
-    pub fn is_zero_migration_budget(&self) -> bool {
-        matches!(self, SentinelError::ZeroMigrationBudget { .. })
-    }
-}
-
 impl fmt::Display for SentinelError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

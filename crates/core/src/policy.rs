@@ -440,18 +440,6 @@ impl SentinelPolicy {
 
     // ------------------------------------------- multi-tenant quota support
 
-    /// Long-lived tensors the interval containing `layer` will touch — the
-    /// working set a multi-tenant arbiter must never demote from under the
-    /// job. Empty before the profiling step finishes (no plan exists yet).
-    #[must_use]
-    pub fn interval_working_set(&self, layer: usize) -> Vec<TensorId> {
-        let (Some(plan), Some(sets)) = (self.plan.as_ref(), self.interval_sets.as_ref()) else {
-            return Vec::new();
-        };
-        // `interval_of` clamps out-of-range layers to the last interval.
-        sets.sorted(plan.interval_of(layer)).to_vec()
-    }
-
     /// Demote *cold* fast-resident long-lived tensors — farthest next use
     /// first, never one the upcoming interval will touch — until `pages`
     /// fast pages are freed, then wait for the copies. The cluster arbiter
@@ -635,25 +623,21 @@ impl SentinelPolicy {
         }
 
         // Warm fast memory for the first managed interval.
-        if self.adapt.is_some() {
-            // Per-layer slow-access attribution is the drift localizer's
-            // evidence (pure counting in the memory system, no timing).
-            ctx.mem_mut().enable_slow_attribution(graph.num_layers());
-        }
         self.prefetch_for_interval(0, ctx);
     }
 
     // ------------------------------------------------ adaptive control loop
 
     /// Managed-step entry for the adaptive loop: snapshot the per-step
-    /// drift signals, zero the per-layer attribution, and arm any pending
-    /// incremental re-profile before the step's first access.
+    /// drift signals, zero the per-layer slow-access counts, and arm any
+    /// pending incremental re-profile before the step's first access.
     fn adapt_step_begin(&mut self, ctx: &mut ExecCtx<'_>) {
         let stall_total = self.stats.stall_case3_ns + self.stats.stall_fault_ns;
         let Some(adapt) = self.adapt.as_mut() else { return };
         adapt.step_slow0 = ctx.mem().stats().mm_accesses[Tier::Slow.index()];
         adapt.step_stall0 = stall_total;
-        ctx.mem_mut().reset_slow_attribution();
+        adapt.layer_slow.clear();
+        adapt.layer_slow.resize(ctx.graph().num_layers(), 0);
         let Some(pending) = adapt.pending.take() else { return };
         if adapt.cfg.force_reprofile_fault {
             adapt.degrade_observation(&pending.tensors, "forced re-profile fault (test hook)");
@@ -698,13 +682,12 @@ impl SentinelPolicy {
         let stall_v = adapt.stall_detector.observe(stall as f64);
         let drifted = matches!(slow_v, DriftVerdict::Drifted { .. })
             || matches!(stall_v, DriftVerdict::Drifted { .. });
-        let attribution = ctx.mem().slow_attribution().map(<[u64]>::to_vec);
         if !drifted {
             adapt.drift_handled = false;
             if adapt.layer_baseline.is_none() {
                 // First calm step under the current plan: its per-layer
                 // traffic is the localizer's reference.
-                adapt.layer_baseline = attribution;
+                adapt.layer_baseline = Some(adapt.layer_slow.clone());
             }
             return;
         }
@@ -721,7 +704,7 @@ impl SentinelPolicy {
             }
             return;
         }
-        let (layers, full) = adapt.divergent_layers(attribution.as_deref(), num_layers);
+        let (layers, full) = adapt.divergent_layers(Some(&adapt.layer_slow), num_layers);
         let mut tensors: Vec<TensorId> = match self.schedule.as_ref() {
             Some(schedule) if full => schedule.long_tensor_ids().to_vec(),
             Some(schedule) => layers
@@ -1041,8 +1024,9 @@ impl MemoryManager for SentinelPolicy {
             return;
         }
         if let Some(adapt) = self.adapt.as_mut() {
-            // Attribute this layer's slow-memory traffic to its bucket.
-            ctx.mem_mut().set_attribution_bucket(layer);
+            // Only the layer's ops access memory, so the counter's rise until
+            // `after_layer` is this layer's slow-memory traffic.
+            adapt.layer_slow0 = ctx.mem().stats().mm_accesses[Tier::Slow.index()];
             if let Some(obs) = adapt.observing.as_mut() {
                 if obs.layers.contains(&layer) {
                     obs.layer_mark = Some((layer, ctx.now(), ctx.breakdown().profiling_fault_ns));
@@ -1082,6 +1066,8 @@ impl MemoryManager for SentinelPolicy {
             return;
         }
         if let Some(adapt) = self.adapt.as_mut() {
+            let slow = ctx.mem().stats().mm_accesses[Tier::Slow.index()];
+            adapt.layer_slow[layer] += slow - adapt.layer_slow0;
             if let Some(obs) = adapt.observing.as_mut() {
                 if let Some((l, t0, f0)) = obs.layer_mark.take() {
                     if l == layer {

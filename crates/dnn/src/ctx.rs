@@ -216,15 +216,7 @@ impl<'g> ExecCtx<'g> {
     /// [`ExecError::NotAllocated`] if the tensor has no live allocation;
     /// [`ExecError::Mem`] if a migration batch fails (e.g. destination full).
     pub fn migrate_tensor(&mut self, t: TensorId, dest: Tier) -> Result<Option<Ns>, ExecError> {
-        let allocation =
-            self.placements[t.index()].as_ref().ok_or(ExecError::NotAllocated { tensor: t })?;
-        let pages = allocation.pages;
-        let mut latest = None;
-        for sub in self.mem.subranges_in_tier(pages, dest.other()) {
-            let ticket = self.mem.migrate(sub, dest, self.now)?;
-            latest = Some(latest.map_or(ticket.ready_at, |l: Ns| l.max(ticket.ready_at)));
-        }
-        Ok(latest)
+        self.migrate_tensor_on_lane(t, dest, false)
     }
 
     /// Like [`ExecCtx::migrate_tensor`] but on the urgent demand-fault lane:
@@ -234,12 +226,25 @@ impl<'g> ExecCtx<'g> {
     ///
     /// Same as [`ExecCtx::migrate_tensor`].
     pub fn migrate_tensor_urgent(&mut self, t: TensorId, dest: Tier) -> Result<Option<Ns>, ExecError> {
+        self.migrate_tensor_on_lane(t, dest, true)
+    }
+
+    fn migrate_tensor_on_lane(
+        &mut self,
+        t: TensorId,
+        dest: Tier,
+        urgent: bool,
+    ) -> Result<Option<Ns>, ExecError> {
         let allocation =
             self.placements[t.index()].as_ref().ok_or(ExecError::NotAllocated { tensor: t })?;
         let pages = allocation.pages;
         let mut latest = None;
         for sub in self.mem.subranges_in_tier(pages, dest.other()) {
-            let ticket = self.mem.migrate_urgent(sub, dest, self.now)?;
+            let ticket = if urgent {
+                self.mem.migrate_urgent(sub, dest, self.now)?
+            } else {
+                self.mem.migrate(sub, dest, self.now)?
+            };
             latest = Some(latest.map_or(ticket.ready_at, |l: Ns| l.max(ticket.ready_at)));
         }
         Ok(latest)

@@ -3,7 +3,7 @@
 use crate::alloc::PoolSpec;
 use crate::ctx::ExecCtx;
 use crate::tensor::{OpRef, Tensor, TensorId};
-use sentinel_mem::{AccessKind, Tier};
+use sentinel_mem::{pages_for_bytes, AccessKind, Tier};
 
 /// A heterogeneous-memory management policy.
 ///
@@ -34,8 +34,15 @@ pub trait MemoryManager {
     }
 
     /// Tier for the newly populated pages of a tensor about to be allocated.
+    /// The default is fast memory when the whole tensor fits in the free
+    /// fast pages, slow memory otherwise.
     fn tier_for(&mut self, tensor: &Tensor, ctx: &ExecCtx<'_>) -> Tier {
-        Tier::Fast
+        let pages = pages_for_bytes(tensor.bytes, ctx.mem().page_size());
+        if pages <= ctx.mem().free_pages(Tier::Fast) {
+            Tier::Fast
+        } else {
+            Tier::Slow
+        }
     }
 
     /// Called after a tensor is successfully allocated.

@@ -38,14 +38,6 @@ impl TierSpec {
     }
 }
 
-/// Marker for the Optane-based CPU platform preset (paper Table II, row 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OptaneHmPreset;
-
-/// Marker for the V100 GPU platform preset (paper Table II, row 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GpuHmPreset;
-
 /// Full heterogeneous-memory platform configuration.
 ///
 /// The presets correspond to the two platforms of the paper's Table II:

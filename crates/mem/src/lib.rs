@@ -62,7 +62,7 @@ mod table;
 mod tier;
 
 pub use cache::{CacheFilter, CacheFilterSpec, CacheOutcome, RangeProbe};
-pub use config::{GpuHmPreset, HmConfig, OptaneHmPreset, TierSpec};
+pub use config::{HmConfig, TierSpec};
 pub use error::MemError;
 pub use memmode::{MemoryModeCache, MemoryModeSpec, MemoryModeStats};
 pub use migrate::{Direction, InFlight, MigrationEngine, MigrationTicket};

@@ -8,19 +8,23 @@
 //! is free, takes `setup + bytes/bw`, and completes at `ready_at`. Batches
 //! on the same channel serialize; batches on opposite channels overlap.
 //!
-//! ## Completion indexing
+//! ## Four FIFO lanes
 //!
-//! In-flight batches are held in an id-keyed map (ids increase monotonically,
-//! so map order *is* issue order) plus a min-heap over `(ready_at, id)`. The
-//! heap makes the hot no-completion poll O(1) — peek, compare, return — and
-//! makes `next_ready_at` available to event-driven callers, while drains
-//! still hand batches back in issue order so retry bookkeeping and traces are
-//! byte-identical to the historical linear scan. The scan survives as
-//! [`MigrationEngine::drain_completed_scan`], the reference path.
+//! Each direction has a plain lane and an urgent (demand-fault) lane, and
+//! each lane is a queue of its in-flight batches in issue order. A lane
+//! starts a batch only once its previous batch is done (`started_at >=`
+//! the lane's `busy_until`, which is at least every queued `ready_at`), and
+//! a cancel never lowers `busy_until` below a kept or drained completion,
+//! so `started_at` and `ready_at` never decrease along a lane: issue order
+//! *is* completion order within a lane. A drain pops each lane's completed
+//! prefix, a cancel splits off each lane's pending suffix, and both sort the
+//! few batches they return by id, so callers see issue order across lanes.
+//! A poll with nothing landed is one compare per lane and allocates
+//! nothing. [`MigrationEngine::drain_completed_scan`] tests every batch
+//! without assuming lane order; it is the reference the drain is pinned to.
 
 use crate::{Ns, PageRange, Tier};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::VecDeque;
 
 /// Migration direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -100,6 +104,19 @@ pub struct InFlight {
     pub failed: bool,
 }
 
+/// One serial copy lane: its in-flight batches in issue order, which is
+/// also completion order (see the module docs).
+#[derive(Debug, Default)]
+struct Lane {
+    queue: VecDeque<InFlight>,
+    /// When the lane's last started copy ends; the next batch starts no
+    /// earlier.
+    busy_until: Ns,
+    /// Latest completion drained from the lane. A cancel keeps the lane
+    /// booked at least this long: finished copies used that channel time.
+    done_at: Ns,
+}
+
 /// Two independent directional migration channels with bandwidth accounting.
 #[derive(Debug)]
 pub struct MigrationEngine {
@@ -107,27 +124,12 @@ pub struct MigrationEngine {
     bw: [f64; 2],
     setup_ns: Ns,
     page_size: u64,
-    busy_until: [Ns; 2],
-    /// Separate lane for demand faults: urgent copies preempt queued
-    /// prefetch batches (GPU fault-handling DMA takes priority over
+    /// Lanes indexed `[urgent][direction]`. Urgent copies (demand faults)
+    /// queue only behind other urgent copies, not behind prefetch batches
+    /// (GPU fault-handling DMA takes priority over
     /// `cudaMemPrefetchAsync` streams).
-    urgent_busy_until: [Ns; 2],
-    /// In-flight batches keyed by id. Ids are handed out monotonically, so
-    /// iterating the map replays issue order exactly.
-    in_flight: BTreeMap<u64, InFlight>,
-    /// Min-heap over `(ready_at, id)` mirroring `in_flight` exactly: every
-    /// mutation either pops what it removes or rebuilds from the map, so the
-    /// heap never carries stale entries.
-    ready: BinaryHeap<Reverse<(Ns, u64)>>,
-    /// Latest completion time ever *drained* per `[urgent][direction]` lane.
-    /// Cancellation rebuilds lane reservations and must not release channel
-    /// time that finished copies already consumed.
-    lane_done_at: [[Ns; 2]; 2],
+    lanes: [[Lane; 2]; 2],
     next_id: u64,
-    /// Total bytes moved per direction since construction.
-    moved_bytes: [u64; 2],
-    /// Total batches issued per direction.
-    batches: [u64; 2],
     /// This engine's share of the platform migration bandwidth as a
     /// rational `num / den` — a multi-tenant arbiter divides the fleet's
     /// lanes between tenants. `(1, 1)` (the default) takes the exact
@@ -144,14 +146,8 @@ impl MigrationEngine {
             bw: [promote_bw, demote_bw],
             setup_ns,
             page_size,
-            busy_until: [0, 0],
-            urgent_busy_until: [0, 0],
-            in_flight: BTreeMap::new(),
-            ready: BinaryHeap::new(),
-            lane_done_at: [[0, 0], [0, 0]],
+            lanes: Default::default(),
             next_id: 0,
-            moved_bytes: [0, 0],
-            batches: [0, 0],
             lane_share: (1, 1),
         }
     }
@@ -177,17 +173,13 @@ impl MigrationEngine {
 
     /// Issue a migration batch; returns a ticket with its completion time.
     pub fn enqueue(&mut self, range: PageRange, direction: Direction, now: Ns) -> MigrationTicket {
-        self.enqueue_with_priority(range, direction, now, false)
+        self.enqueue_perturbed(range, direction, now, false, 0, false, 0)
     }
 
     /// Issue an *urgent* batch (demand fault): it does not queue behind
     /// pending prefetch batches, only behind other urgent copies.
     pub fn enqueue_urgent(&mut self, range: PageRange, direction: Direction, now: Ns) -> MigrationTicket {
-        self.enqueue_with_priority(range, direction, now, true)
-    }
-
-    fn enqueue_with_priority(&mut self, range: PageRange, direction: Direction, now: Ns, urgent: bool) -> MigrationTicket {
-        self.enqueue_perturbed(range, direction, now, urgent, 0, false, 0)
+        self.enqueue_perturbed(range, direction, now, true, 0, false, 0)
     }
 
     /// Issue a batch carrying an injected perturbation: `extra_ns` of stall
@@ -207,8 +199,6 @@ impl MigrationEngine {
     ) -> MigrationTicket {
         let bytes = range.bytes(self.page_size);
         let dir = direction.index();
-        let lane = if urgent { &mut self.urgent_busy_until[dir] } else { &mut self.busy_until[dir] };
-        let start = now.max(*lane);
         // The exact historical expression when the share is whole, so a
         // 1/1-share engine stays byte-identical to one without the feature.
         let copy_ns = if self.lane_share == (1, 1) {
@@ -218,79 +208,73 @@ impl MigrationEngine {
             let effective_bw = self.bw[dir] * num as f64 / den as f64;
             (bytes as f64 / effective_bw).ceil() as Ns
         };
-        let duration = self.setup_ns + extra_ns + copy_ns;
-        let ready_at = start + duration;
-        *lane = ready_at;
-        self.moved_bytes[dir] += bytes;
-        self.batches[dir] += 1;
+        let lane = &mut self.lanes[usize::from(urgent)][dir];
+        let start = now.max(lane.busy_until);
+        let ready_at = start + self.setup_ns + extra_ns + copy_ns;
+        debug_assert!(
+            lane.queue.back().is_none_or(|f| f.started_at <= start && f.ready_at <= ready_at),
+            "a lane's batches must start and complete in issue order"
+        );
+        lane.busy_until = ready_at;
         let id = self.next_id;
         self.next_id += 1;
-        self.in_flight.insert(
+        lane.queue.push_back(InFlight {
             id,
-            InFlight { id, range, direction, started_at: start, ready_at, urgent, attempt, failed },
-        );
-        self.ready.push(Reverse((ready_at, id)));
+            range,
+            direction,
+            started_at: start,
+            ready_at,
+            urgent,
+            attempt,
+            failed,
+        });
         MigrationTicket { id, ready_at, pages: range.count, bytes }
     }
 
     /// Earliest completion time of any in-flight batch: the next migration
-    /// event for event-driven callers. O(1).
+    /// event for event-driven callers. Each lane's front is its earliest.
     #[must_use]
     pub fn next_ready_at(&self) -> Option<Ns> {
-        self.ready.peek().map(|&Reverse((t, _))| t)
+        self.lanes.iter().flatten().filter_map(|lane| lane.queue.front()).map(|f| f.ready_at).min()
     }
 
-    /// Remove and return every batch completed by `now`, in issue order.
-    ///
-    /// Indexed fast path: a poll with nothing landed is a single heap peek,
-    /// independent of the number of in-flight batches.
+    /// Remove and return every batch completed by `now`, in issue order:
+    /// each lane's completed prefix, merged by id.
     pub fn drain_completed(&mut self, now: Ns) -> Vec<InFlight> {
-        match self.ready.peek() {
-            Some(&Reverse((t, _))) if t <= now => {}
-            _ => return Vec::new(),
-        }
-        let mut ids: Vec<u64> = Vec::new();
-        while let Some(&Reverse((t, id))) = self.ready.peek() {
-            if t > now {
-                break;
+        let mut done = Vec::new();
+        for lane in self.lanes.iter_mut().flatten() {
+            while lane.queue.front().is_some_and(|f| f.ready_at <= now) {
+                let f = lane.queue.pop_front().expect("the front was just read");
+                lane.done_at = f.ready_at;
+                done.push(f);
             }
-            self.ready.pop();
-            ids.push(id);
         }
-        // The heap yields (ready_at, id) order; hand batches back in issue
-        // (id) order so completion application matches the scan reference
-        // byte for byte.
-        ids.sort_unstable();
-        ids.iter().map(|id| self.remove_done(*id)).collect()
-    }
-
-    /// Remove and return every batch completed by `now` via a linear scan.
-    ///
-    /// The historical reference path, preserved (like
-    /// `MemorySystem::access_per_page`) so the engine property in
-    /// `tests/chaos_migration.rs` can pin the indexed drain to it.
-    pub fn drain_completed_scan(&mut self, now: Ns) -> Vec<InFlight> {
-        if !self.in_flight.values().any(|f| f.ready_at <= now) {
-            return Vec::new();
-        }
-        let ids: Vec<u64> =
-            self.in_flight.values().filter(|f| f.ready_at <= now).map(|f| f.id).collect();
-        let done: Vec<InFlight> = ids.iter().map(|id| self.remove_done(*id)).collect();
-        self.rebuild_ready_index();
+        done.sort_unstable_by_key(|f| f.id);
         done
     }
 
-    /// Detach a completed batch from the map and record its lane completion.
-    fn remove_done(&mut self, id: u64) -> InFlight {
-        let f = self.in_flight.remove(&id).expect("drained id is in flight");
-        let lane = &mut self.lane_done_at[usize::from(f.urgent)][f.direction.index()];
-        *lane = (*lane).max(f.ready_at);
-        f
-    }
-
-    /// Recompute the ready heap from the in-flight map.
-    fn rebuild_ready_index(&mut self) {
-        self.ready = self.in_flight.values().map(|f| Reverse((f.ready_at, f.id))).collect();
+    /// Remove and return every batch completed by `now`, in issue order,
+    /// testing every batch of every lane without assuming lane order.
+    ///
+    /// The reference path, kept so the engine property in
+    /// `tests/chaos_migration.rs` can pin [`MigrationEngine::drain_completed`]
+    /// to it.
+    pub fn drain_completed_scan(&mut self, now: Ns) -> Vec<InFlight> {
+        let mut done = Vec::new();
+        for lane in self.lanes.iter_mut().flatten() {
+            let mut kept = VecDeque::new();
+            for f in lane.queue.drain(..) {
+                if f.ready_at <= now {
+                    lane.done_at = lane.done_at.max(f.ready_at);
+                    done.push(f);
+                } else {
+                    kept.push_back(f);
+                }
+            }
+            lane.queue = kept;
+        }
+        done.sort_unstable_by_key(|f| f.id);
+        done
     }
 
     /// Cancel and return every batch *not yet complete* at `now`, in issue
@@ -299,87 +283,56 @@ impl MigrationEngine {
     /// Used by Sentinel's Case-3 "leave tensors in slow memory" choice: the
     /// copies are abandoned and the pages stay in their source tier. Each
     /// lane's reservation is rebuilt from what actually holds the channel:
-    /// the latest completion already drained from it, any kept in-flight
-    /// batch on it, and `now` if a cancelled copy had already started (the
-    /// channel was mid-copy when the abort landed). A blanket clamp to `now`
-    /// would let a post-cancel enqueue double-book bandwidth a kept or
-    /// drained batch still occupies, and would charge the channel for
-    /// future-issued batches that never started.
+    /// the latest completion already drained from it, its last kept batch,
+    /// and `now` if a cancelled copy had already started (the channel was
+    /// mid-copy when the abort landed). A blanket clamp to `now` would let a
+    /// post-cancel enqueue double-book bandwidth a kept or drained batch
+    /// still occupies, and would charge the channel for future-issued
+    /// batches that never started.
     pub fn cancel_pending(&mut self, now: Ns) -> Vec<InFlight> {
-        let ids: Vec<u64> =
-            self.in_flight.values().filter(|f| f.ready_at > now).map(|f| f.id).collect();
-        let cancelled: Vec<InFlight> = ids
-            .iter()
-            .map(|id| self.in_flight.remove(id).expect("cancelled id is in flight"))
-            .collect();
-        self.rebuild_ready_index();
-        for urgent in [false, true] {
-            for dir in [Direction::Promote, Direction::Demote] {
-                let mut base = self.lane_done_at[usize::from(urgent)][dir.index()];
-                for f in self.in_flight.values() {
-                    if f.urgent == urgent && f.direction == dir {
-                        base = base.max(f.ready_at);
-                    }
-                }
-                for f in &cancelled {
-                    if f.urgent == urgent && f.direction == dir && f.started_at < now {
-                        base = base.max(now);
-                    }
-                }
-                let lane = if urgent {
-                    &mut self.urgent_busy_until[dir.index()]
-                } else {
-                    &mut self.busy_until[dir.index()]
-                };
-                *lane = base;
-            }
+        let mut cancelled = Vec::new();
+        for lane in self.lanes.iter_mut().flatten() {
+            let pending = lane.queue.split_off(lane.queue.partition_point(|f| f.ready_at <= now));
+            let kept_until = lane.queue.back().map_or(0, |f| f.ready_at);
+            // Starts never decrease along a lane: the first pending batch
+            // is the one that may have started.
+            let mid_copy = pending.front().is_some_and(|f| f.started_at < now);
+            lane.busy_until = lane.done_at.max(kept_until).max(if mid_copy { now } else { 0 });
+            cancelled.extend(pending);
         }
+        cancelled.sort_unstable_by_key(|f| f.id);
         cancelled
     }
 
     /// Time when all currently queued work in either direction is finished.
     #[must_use]
     pub fn quiescent_at(&self) -> Ns {
-        self.busy_until[0]
-            .max(self.busy_until[1])
-            .max(self.urgent_busy_until[0])
-            .max(self.urgent_busy_until[1])
+        self.lanes.iter().flatten().map(|lane| lane.busy_until).max().unwrap_or(0)
     }
 
-    /// Time when queued work in `direction` is finished.
+    /// Time when queued work on `direction`'s plain lane is finished.
     #[must_use]
     pub fn busy_until(&self, direction: Direction) -> Ns {
-        self.busy_until[direction.index()]
+        self.lanes[0][direction.index()].busy_until
     }
 
     /// Whether any batch is still in flight.
     #[must_use]
     pub fn has_in_flight(&self) -> bool {
-        !self.in_flight.is_empty()
+        self.lanes.iter().flatten().any(|lane| !lane.queue.is_empty())
     }
 
-    /// In-flight batches in issue order (completed ones remain until
-    /// drained).
+    /// In-flight batches (completed ones remain until drained), lane by
+    /// lane — plain promote, plain demote, urgent promote, urgent demote —
+    /// each lane in issue order.
     pub fn in_flight(&self) -> impl Iterator<Item = &InFlight> + '_ {
-        self.in_flight.values()
+        self.lanes.iter().flatten().flat_map(|lane| &lane.queue)
     }
 
     /// Latest completion time of any batch overlapping `range`, if one exists.
     #[must_use]
     pub fn range_ready_at(&self, range: PageRange) -> Option<Ns> {
-        self.in_flight.values().filter(|f| f.range.overlaps(&range)).map(|f| f.ready_at).max()
-    }
-
-    /// Total bytes moved in `direction` since construction.
-    #[must_use]
-    pub fn moved_bytes(&self, direction: Direction) -> u64 {
-        self.moved_bytes[direction.index()]
-    }
-
-    /// Total batches issued in `direction`.
-    #[must_use]
-    pub fn batches(&self, direction: Direction) -> u64 {
-        self.batches[direction.index()]
+        self.in_flight().filter(|f| f.range.overlaps(&range)).map(|f| f.ready_at).max()
     }
 }
 
@@ -442,8 +395,9 @@ mod tests {
 
     #[test]
     fn indexed_drain_matches_scan_reference() {
-        // Perturbations make heap (ready_at) order differ from issue order;
-        // both drains must still return the same batches in issue order.
+        // Perturbations make completion order differ from issue order across
+        // lanes; both drains must still return the same batches in issue
+        // order.
         let build = || {
             let mut e = engine();
             e.enqueue_perturbed(PageRange::new(0, 1), Direction::Promote, 0, false, 9_000, false, 0);
@@ -524,17 +478,6 @@ mod tests {
         // lane was never used and stays idle.
         assert_eq!(e.quiescent_at(), a.ready_at);
         assert_eq!(e.busy_until(Direction::Demote), 0);
-    }
-
-    #[test]
-    fn stats_accumulate() {
-        let mut e = engine();
-        e.enqueue(PageRange::new(0, 2), Direction::Promote, 0);
-        e.enqueue(PageRange::new(2, 3), Direction::Demote, 0);
-        assert_eq!(e.moved_bytes(Direction::Promote), 8192);
-        assert_eq!(e.moved_bytes(Direction::Demote), 3 * 4096);
-        assert_eq!(e.batches(Direction::Promote), 1);
-        assert_eq!(e.batches(Direction::Demote), 1);
     }
 
     #[test]

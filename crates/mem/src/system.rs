@@ -57,18 +57,6 @@ const RETRY_MAX_ATTEMPTS: u32 = 3;
 /// each further attempt.
 const RETRY_BACKOFF_NS: Ns = 50_000;
 
-/// Attribution of slow-tier main-memory accesses to caller-defined buckets
-/// (the Sentinel policy uses one bucket per layer). The owner points the
-/// cursor at a bucket before issuing accesses; every slow-tier access landed
-/// while the cursor rests there is charged to that bucket. Accesses issued
-/// with the cursor out of range (or before any bucket is selected) are
-/// dropped, so partial instrumentation stays safe.
-#[derive(Debug, Clone, Default)]
-struct SlowAttribution {
-    bucket: usize,
-    counts: Vec<u64>,
-}
-
 /// When the residency sanitizer revalidates the page-table invariants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SanitizerMode {
@@ -122,11 +110,6 @@ pub struct MemorySystem {
     /// (incremental re-profiling): suppresses the poison-on-map default so
     /// unrelated fresh mappings stay fault-free during the observation step.
     selective_profiling: bool,
-    /// Per-bucket attribution of slow-tier main-memory accesses (`None`,
-    /// the default, adds nothing to the access path). Pure counting: it
-    /// never changes timing, stats or reports, so enabling it is
-    /// byte-transparent to everything but its own counters.
-    attribution: Option<SlowAttribution>,
     stats: MemStats,
     timeline: Option<StatsTimeline>,
     unmapped_accesses: u64,
@@ -169,7 +152,6 @@ impl MemorySystem {
             memmode: None,
             profiler: None,
             selective_profiling: false,
-            attribution: None,
             stats: MemStats::default(),
             timeline: None,
             unmapped_accesses: 0,
@@ -317,16 +299,7 @@ impl MemorySystem {
     /// not in flight. Useful for building strict migration batches.
     #[must_use]
     pub fn subranges_in_tier(&self, range: PageRange, tier: Tier) -> Vec<PageRange> {
-        let mut out: Vec<PageRange> = Vec::new();
-        for run in self.runs_in_tier(range, tier) {
-            // Adjacent runs may differ only in the poison bit; they are one
-            // contiguous eligible sub-range and must merge.
-            match out.last_mut() {
-                Some(last) if last.end() == run.first => last.count += run.count,
-                _ => out.push(run),
-            }
-        }
-        out
+        merge_runs(self.runs_in_tier(range, tier))
     }
 
     /// Pages of `range` currently mapped in `tier` and not in flight: the
@@ -375,7 +348,6 @@ impl MemorySystem {
             return report;
         }
         self.last_now = self.last_now.max(now);
-        let slow0 = self.stats.mm_accesses[Tier::Slow.index()];
         let write = kind.is_write();
         let per_model = (bytes / range.count).max(1);
         let base = bytes / range.count;
@@ -472,7 +444,7 @@ impl MemorySystem {
             }
         }
 
-        self.finish_access(&mut report, range, cache_model_bytes, tier_model_bytes, tier_touched, slow0, write, now);
+        self.finish_access(&mut report, range, cache_model_bytes, tier_model_bytes, tier_touched, write, now);
         report
     }
 
@@ -488,7 +460,6 @@ impl MemorySystem {
             return report;
         }
         self.last_now = self.last_now.max(now);
-        let slow0 = self.stats.mm_accesses[Tier::Slow.index()];
         let write = kind.is_write();
         let per_model = (bytes / range.count).max(1);
         let base = bytes / range.count;
@@ -536,7 +507,7 @@ impl MemorySystem {
             self.record_traffic(tier, per_model, write, now);
         }
 
-        self.finish_access(&mut report, range, cache_model_bytes, tier_model_bytes, tier_touched, slow0, write, now);
+        self.finish_access(&mut report, range, cache_model_bytes, tier_model_bytes, tier_touched, write, now);
         report
     }
 
@@ -556,22 +527,9 @@ impl MemorySystem {
         cache_model_bytes: u64,
         tier_model_bytes: [u64; 2],
         tier_touched: [bool; 2],
-        slow_accesses_before: u64,
         write: bool,
         now: Ns,
     ) {
-        // Attribute this access's slow-tier page count (the delta of the
-        // shared `mm_accesses` counter, so Memory-Mode traffic is covered
-        // and both pipelines charge identically) to the current bucket.
-        if let Some(attr) = &mut self.attribution {
-            let delta =
-                self.stats.mm_accesses[Tier::Slow.index()] - slow_accesses_before;
-            if delta > 0 {
-                if let Some(c) = attr.counts.get_mut(attr.bucket) {
-                    *c += delta;
-                }
-            }
-        }
         for tier in Tier::both() {
             if tier_touched[tier.index()] {
                 report.elapsed_ns +=
@@ -854,56 +812,11 @@ impl MemorySystem {
     /// from slow memory" degradation, with the stall time already charged
     /// to the channel). Returns `true` when the batch was abandoned.
     fn handle_failed_batch(&mut self, done: &InFlight) -> bool {
-        // Adjacent runs may differ only in the poison bit; merge them back
-        // into contiguous sub-ranges so the retry pays one setup cost, like
-        // the original batch (pages freed mid-copy are skipped).
-        let mut subs: Vec<PageRange> = Vec::new();
-        for run in self.table.runs_in(done.range) {
-            if run.pte.in_flight {
-                match subs.last_mut() {
-                    Some(last) if last.end() == run.range.first => last.count += run.range.count,
-                    _ => subs.push(run.range),
-                }
+        if done.attempt + 1 >= RETRY_MAX_ATTEMPTS {
+            let pages = self.roll_back(done);
+            if pages == 0 {
+                return false; // fully aborted while in flight
             }
-        }
-        if subs.is_empty() {
-            return false; // fully aborted while in flight
-        }
-        if done.attempt + 1 < RETRY_MAX_ATTEMPTS {
-            if let Some(inj) = &mut self.injector {
-                inj.counters_mut().migration_retries += 1;
-            }
-            let backoff = RETRY_BACKOFF_NS.saturating_mul(1u64 << done.attempt.min(16));
-            let when = done.ready_at.saturating_add(backoff);
-            if self.tracer.enabled() {
-                self.tracer.instant(
-                    TraceTrack::Migration,
-                    "migration",
-                    "retry",
-                    done.ready_at,
-                    vec![
-                        ("id", Json::U64(done.id)),
-                        ("first", Json::U64(done.range.first)),
-                        ("pages", Json::U64(subs.iter().map(|s| s.count).sum())),
-                        ("attempt", Json::U64(u64::from(done.attempt + 1))),
-                        ("backoff_ns", Json::U64(backoff)),
-                        ("direction", Json::Str(direction_name(done.direction).into())),
-                    ],
-                );
-            }
-            for sub in subs {
-                let (extra_ns, failed) = self.draw_migration_perturbation();
-                self.engine.enqueue_perturbed(sub, done.direction, when, false, extra_ns, failed, done.attempt + 1);
-            }
-            false
-        } else {
-            let dest = done.direction.dest();
-            let mut pages = 0u64;
-            for sub in subs {
-                self.table.set_in_flight(sub, false);
-                pages += sub.count;
-            }
-            self.used_pages[dest.index()] -= pages;
             if let Some(inj) = &mut self.injector {
                 inj.counters_mut().abandoned_migrations += 1;
                 inj.counters_mut().abandoned_pages += pages;
@@ -924,8 +837,58 @@ impl MemorySystem {
                 );
                 self.trace_used_pages(done.ready_at);
             }
-            true
+            return true;
         }
+        // The retry pays one setup cost per contiguous moving sub-range,
+        // like the original batch (pages freed mid-copy are skipped).
+        let subs = self.moving_subranges(done.range);
+        if subs.is_empty() {
+            return false; // fully aborted while in flight
+        }
+        if let Some(inj) = &mut self.injector {
+            inj.counters_mut().migration_retries += 1;
+        }
+        let backoff = RETRY_BACKOFF_NS.saturating_mul(1u64 << done.attempt.min(16));
+        let when = done.ready_at.saturating_add(backoff);
+        if self.tracer.enabled() {
+            self.tracer.instant(
+                TraceTrack::Migration,
+                "migration",
+                "retry",
+                done.ready_at,
+                vec![
+                    ("id", Json::U64(done.id)),
+                    ("first", Json::U64(done.range.first)),
+                    ("pages", Json::U64(subs.iter().map(|s| s.count).sum())),
+                    ("attempt", Json::U64(u64::from(done.attempt + 1))),
+                    ("backoff_ns", Json::U64(backoff)),
+                    ("direction", Json::Str(direction_name(done.direction).into())),
+                ],
+            );
+        }
+        for sub in subs {
+            let (extra_ns, failed) = self.draw_migration_perturbation();
+            self.engine.enqueue_perturbed(sub, done.direction, when, false, extra_ns, failed, done.attempt + 1);
+        }
+        false
+    }
+
+    /// The contiguous sub-ranges of `range` whose pages are still moving.
+    fn moving_subranges(&self, range: PageRange) -> Vec<PageRange> {
+        merge_runs(self.table.runs_in(range).filter(|run| run.pte.in_flight).map(|run| run.range))
+    }
+
+    /// Stop `batch`'s pages that are still moving and return their
+    /// destination reservation: they stay in their source tier. Returns the
+    /// pages stopped.
+    fn roll_back(&mut self, batch: &InFlight) -> u64 {
+        let mut pages = 0;
+        for sub in self.moving_subranges(batch.range) {
+            self.table.set_in_flight(sub, false);
+            pages += sub.count;
+        }
+        self.used_pages[batch.direction.dest().index()] -= pages;
+        pages
     }
 
     /// Block until all in-flight migrations finish; returns the completion
@@ -943,23 +906,10 @@ impl MemorySystem {
         self.engine.busy_until(Direction::into_tier(dest))
     }
 
-    /// Earliest completion time of any in-flight migration: the next
-    /// migration event for an event-driven clock. O(1).
-    #[must_use]
-    pub fn next_migration_ready(&self) -> Option<Ns> {
-        self.engine.next_ready_at()
-    }
-
     /// Whether any migration is still in flight.
     #[must_use]
     pub fn has_in_flight(&self) -> bool {
         self.engine.has_in_flight()
-    }
-
-    /// Whether any page of `range` has a migration in flight.
-    #[must_use]
-    pub fn range_in_flight(&self, range: PageRange) -> bool {
-        self.table.any_in_flight(range)
     }
 
     /// When every in-flight migration overlapping `range` completes, if any.
@@ -978,25 +928,22 @@ impl MemorySystem {
         self.poll(now);
         let mut cancelled_pages = 0;
         for batch in self.engine.cancel_pending(now) {
-            let dest = batch.direction.dest();
-            let runs: Vec<PteRun> = self.table.runs_in(batch.range).collect();
-            for run in runs {
-                if run.pte.in_flight {
-                    self.table.set_in_flight(run.range, false);
-                    self.used_pages[dest.index()] -= run.range.count;
-                    cancelled_pages += run.range.count;
-                }
-            }
+            cancelled_pages += self.roll_back(&batch);
         }
         self.sanitize_rare();
         cancelled_pages
     }
 
-    /// Cancel pending migrations overlapping `range` (the pages stay in
-    /// their source tier; destination reservations are released). Pending
-    /// batches that only partially overlap are re-issued for their
-    /// non-overlapping pages. Used by demand-fault handlers to preempt a
-    /// queued prefetch of the pages they need *now*.
+    /// Cancel pending migrations of `range`'s pages (they stay in their
+    /// source tier; destination reservations are released). Used by
+    /// demand-fault handlers to preempt a queued prefetch of the pages they
+    /// need *now*.
+    ///
+    /// This cancels *every* batch still pending at `now`, overlapping or
+    /// not, and re-issues each of their pages outside `range` as its own
+    /// single-page batch, which pays the setup cost again and may complete
+    /// later than the batch it replaces. Aborting only the overlapping
+    /// batches is ROADMAP item 1.
     pub fn cancel_overlapping(&mut self, range: PageRange, now: Ns) {
         self.abort_migrations_overlapping(range, now);
     }
@@ -1009,14 +956,7 @@ impl MemorySystem {
         // `migrate`, whose sanitizer hook must observe a consistent state).
         let pending = self.engine.cancel_pending(now);
         for batch in &pending {
-            let dest = batch.direction.dest();
-            let runs: Vec<PteRun> = self.table.runs_in(batch.range).collect();
-            for run in runs {
-                if run.pte.in_flight {
-                    self.table.set_in_flight(run.range, false);
-                    self.used_pages[dest.index()] -= run.range.count;
-                }
-            }
+            self.roll_back(batch);
         }
         // Re-issue sub-ranges that do not overlap the range being
         // unmapped. Deliberately per page: each single-page batch pays
@@ -1103,48 +1043,6 @@ impl MemorySystem {
     #[must_use]
     pub fn profiling(&self) -> bool {
         self.profiler.is_some()
-    }
-
-    /// Whether the active profiling phase is selective (range-poisoned).
-    #[must_use]
-    pub fn profiling_selective(&self) -> bool {
-        self.profiler.is_some() && self.selective_profiling
-    }
-
-    // ------------------------------------------------------- attribution
-
-    /// Start attributing slow-tier main-memory accesses to `buckets`
-    /// caller-defined buckets (counts reset to zero). Counting only — no
-    /// timing, stats or report changes — so byte-transparent to the rest of
-    /// the system. The cursor starts out of range: accesses before the first
-    /// [`MemorySystem::set_attribution_bucket`] are dropped.
-    pub fn enable_slow_attribution(&mut self, buckets: usize) {
-        self.attribution = Some(SlowAttribution { bucket: usize::MAX, counts: vec![0; buckets] });
-    }
-
-    /// Stop attributing and drop the counters.
-    pub fn disable_slow_attribution(&mut self) {
-        self.attribution = None;
-    }
-
-    /// Point the attribution cursor at `bucket` (out-of-range drops counts).
-    pub fn set_attribution_bucket(&mut self, bucket: usize) {
-        if let Some(attr) = &mut self.attribution {
-            attr.bucket = bucket;
-        }
-    }
-
-    /// The per-bucket slow-access counts, if attribution is enabled.
-    #[must_use]
-    pub fn slow_attribution(&self) -> Option<&[u64]> {
-        self.attribution.as_ref().map(|a| a.counts.as_slice())
-    }
-
-    /// Zero the attribution counters, keeping attribution enabled.
-    pub fn reset_slow_attribution(&mut self) {
-        if let Some(attr) = &mut self.attribution {
-            attr.counts.iter_mut().for_each(|c| *c = 0);
-        }
     }
 
     // ------------------------------------------------------------ modes
@@ -1284,12 +1182,6 @@ impl MemorySystem {
     /// to having no injector at all (no-fault transparency).
     pub fn set_fault_injector(&mut self, injector: FaultInjector) {
         self.injector = Some(injector);
-    }
-
-    /// The installed fault injector, if any.
-    #[must_use]
-    pub fn fault_injector(&self) -> Option<&FaultInjector> {
-        self.injector.as_ref()
     }
 
     /// Snapshot of the fault counters (all zero when no injector is set).
@@ -1517,6 +1409,20 @@ fn direction_name(direction: Direction) -> &'static str {
         Direction::Promote => "promote",
         Direction::Demote => "demote",
     }
+}
+
+/// Merge adjacent page runs into contiguous ranges. Runs split only by a
+/// bit the caller does not care about (such as poison) are one range, so a
+/// migration batch built from it pays one setup cost.
+fn merge_runs(runs: impl Iterator<Item = PageRange>) -> Vec<PageRange> {
+    let mut out: Vec<PageRange> = Vec::new();
+    for run in runs {
+        match out.last_mut() {
+            Some(last) if last.end() == run.first => last.count += run.count,
+            _ => out.push(run),
+        }
+    }
+    out
 }
 
 /// Route a run of main-memory pages through the Memory-Mode cache, for both

@@ -146,7 +146,7 @@ fn training_survives_heavy_faults_and_stays_deterministic() {
 }
 
 /// Every observable of the two engines after an operation: the in-flight
-/// set in issue order, the next event, both `busy_until` lanes and the
+/// set lane by lane, the next event, both `busy_until` lanes and the
 /// quiescence time (which also covers the urgent lanes).
 fn assert_engines_agree(a: &MigrationEngine, b: &MigrationEngine, at: &str) {
     assert!(a.in_flight().eq(b.in_flight()), "{at}: in-flight sets diverged");
@@ -158,8 +158,8 @@ fn assert_engines_agree(a: &MigrationEngine, b: &MigrationEngine, at: &str) {
 }
 
 /// Injected stalls and jitter fire *through the event order*: a perturbed
-/// `ready_at` reorders the engine's ready-heap away from issue order, and
-/// the indexed event drain must still hand batches back exactly as the
+/// `ready_at` makes completion order differ from issue order across lanes,
+/// and the FIFO drain must still hand batches back exactly as the
 /// linear-scan reference does — same batches, same issue order, same
 /// engine state — through every engine mutation `MemorySystem` issues:
 /// first issues and retries (`attempt > 0`), lane-share changes between
@@ -194,9 +194,11 @@ fn jittered_ready_heap_drains_identically_to_the_scan_reference() {
                         .enqueue_perturbed(range, dir, now, urgent, extra, failed, attempt);
                     assert_eq!(a, b, "{at}: tickets diverged");
                     // An inversion: a later-issued batch completing before an
-                    // earlier one (in_flight iterates in issue order).
+                    // earlier one.
+                    let mut batches: Vec<_> = indexed.in_flight().collect();
+                    batches.sort_unstable_by_key(|f| f.id);
                     let mut latest = 0;
-                    for f in indexed.in_flight() {
+                    for f in batches {
                         reordered |= f.ready_at < latest;
                         latest = latest.max(f.ready_at);
                     }
@@ -236,7 +238,7 @@ fn jittered_ready_heap_drains_identically_to_the_scan_reference() {
             }
             assert_engines_agree(&indexed, &reference, &at);
         }
-        assert!(reordered, "seed {seed}: jitter never reordered the heap");
+        assert!(reordered, "seed {seed}: jitter never reordered completions");
         assert!(ties > 0, "seed {seed}: no drain landed on a completion instant");
         now += 1 << 40;
         assert_eq!(indexed.drain_completed(now), reference.drain_completed_scan(now));

@@ -66,11 +66,13 @@ pub struct JsonError {
 }
 
 impl fmt::Display for Json {
-    /// Compact serialization (identical to [`Json::to_string`]), so values
-    /// drop into `format!`/`println!` — the wire layer and CLI clients
-    /// print frames this way.
+    /// Compact serialization: `to_string()` gives the compact text, and
+    /// values drop into `format!`/`println!` — the wire layer and CLI
+    /// clients print frames this way.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_string())
+        let mut out = String::new();
+        self.write(&mut out, false);
+        f.write_str(&out)
     }
 }
 
@@ -110,14 +112,6 @@ impl Json {
             Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
-    }
-
-    /// Compact serialization.
-    #[must_use]
-    pub fn to_string(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, false);
-        out
     }
 
     /// Pretty serialization with two-space indentation and a trailing newline.

@@ -14,6 +14,11 @@ cargo test -q --offline
 echo "== rustdoc: public docs build without warnings (dangling links fail) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
+echo "== clippy: every workspace target lints without errors =="
+# Clippy's deny-by-default lints fail the step; its warnings are reported
+# but do not.
+cargo clippy --workspace --all-targets --offline
+
 repo_root=$PWD
 trace_tmp=$(mktemp -d)
 trap 'rm -rf "$trace_tmp"' EXIT

@@ -8,6 +8,7 @@ use sentinel::mem::{
 };
 use sentinel_util::prop::{check, no_shrink, shrink_u64, shrink_vec, PropConfig};
 use sentinel_util::{prop_assert, prop_assert_eq, Rng};
+use std::collections::HashMap;
 
 // ---------------------------------------------------------------- PageRange
 
@@ -145,7 +146,6 @@ fn allocator_never_overlaps_live_allocations() {
                     }
                 }
                 // Page tenancy equals the number of live allocations covering it.
-                use std::collections::HashMap;
                 let mut expected: HashMap<u64, u32> = HashMap::new();
                 for (_, a) in &live {
                     for p in a.pages.iter() {
@@ -169,50 +169,130 @@ fn allocator_never_overlaps_live_allocations() {
 
 // ------------------------------------------------------------- MigrationEngine
 
-/// Per-lane completion times are monotone and cancel+drain partitions
-/// the in-flight set.
+/// One operation on a [`MigrationEngine`], as `MemorySystem` issues them.
+#[derive(Debug, Clone)]
+enum EngineOp {
+    /// Issue a batch on the `(promote, urgent)` lane, `delay` ns after the
+    /// clock (a retry is issued at its backoff's end), with an injected
+    /// stall, a failure verdict and a retry attempt number.
+    Issue {
+        first: u64,
+        count: u64,
+        promote: bool,
+        urgent: bool,
+        delay: u64,
+        stall: u64,
+        failed: bool,
+        attempt: u32,
+    },
+    /// Change the lane share to `num / den`.
+    Share { num: u64, den: u64 },
+    /// Advance the clock by `dt` and drain.
+    Drain { dt: u64 },
+    /// Advance the clock by `dt` and cancel what is pending.
+    Cancel { dt: u64 },
+    /// Advance the clock by `dt`, then drain and cancel at that instant.
+    Partition { dt: u64 },
+}
+
+fn engine_op(rng: &mut Rng) -> EngineOp {
+    match rng.gen_usize(0, 10) {
+        0..=4 => EngineOp::Issue {
+            first: rng.gen_range(0, 100),
+            count: rng.gen_range(1, 8),
+            promote: rng.gen_bool(0.5),
+            urgent: rng.gen_bool(0.3),
+            delay: if rng.gen_bool(0.2) { rng.gen_range(1, 100_000) } else { 0 },
+            stall: if rng.gen_bool(0.3) { rng.gen_range(1, 60_000) } else { 0 },
+            failed: rng.gen_bool(0.2),
+            attempt: if rng.gen_bool(0.2) { rng.gen_range(1, 3) as u32 } else { 0 },
+        },
+        5 => {
+            let den = rng.gen_range(1, 5);
+            EngineOp::Share { num: rng.gen_range(1, den + 1), den }
+        }
+        6 | 7 => EngineOp::Drain { dt: rng.gen_range(0, 20_000) },
+        8 => EngineOp::Cancel { dt: rng.gen_range(0, 20_000) },
+        _ => EngineOp::Partition { dt: rng.gen_range(0, 20_000) },
+    }
+}
+
+/// Each lane runs its batches one after another in issue order, its
+/// reservations cover what it holds, and a drain plus a cancel at one
+/// instant partition the in-flight set. Driven through every engine entry
+/// `MemorySystem` uses: perturbed issues on all four lanes (urgent, stalled,
+/// failed, retries issued in the future), lane-share changes, and drains
+/// and cancels at random times.
 #[test]
 fn migration_engine_timestamps_are_monotone() {
     PropConfig::from_env().with_cases(64).run(
         "migration_engine_timestamps_are_monotone",
         |rng: &mut Rng| {
-            let n = rng.gen_usize(1, 30);
-            (0..n)
-                .map(|_| {
-                    (
-                        rng.gen_range(0, 100),
-                        rng.gen_range(1, 8),
-                        rng.gen_bool(0.5),
-                        rng.gen_range(0, 10_000),
-                    )
-                })
-                .collect::<Vec<_>>()
+            let n = rng.gen_usize(1, 60);
+            (0..n).map(|_| engine_op(rng)).collect::<Vec<_>>()
         },
         shrink_vec(1, no_shrink()),
-        |batches| {
+        |ops| {
             let mut e = MigrationEngine::new(2.0, 1.0, 50, 4096);
-            let mut last_ready = [0u64; 2];
+            let mut issued_at: HashMap<u64, u64> = HashMap::new();
             let mut now = 0u64;
-            let mut issued = 0usize;
-            for &(first, count, promote, dt) in batches {
-                now += dt;
-                let dir = if promote { Direction::Promote } else { Direction::Demote };
-                let t = e.enqueue(PageRange::new(first, count), dir, now);
-                let lane = if promote { 0 } else { 1 };
-                prop_assert!(t.ready_at >= now);
-                prop_assert!(t.ready_at >= last_ready[lane], "lane went backwards");
-                last_ready[lane] = t.ready_at;
-                issued += 1;
+            for op in ops {
+                match *op {
+                    EngineOp::Issue { first, count, promote, urgent, delay, stall, failed, attempt } => {
+                        let dir = if promote { Direction::Promote } else { Direction::Demote };
+                        let at = now + delay;
+                        let range = PageRange::new(first, count);
+                        let t = e.enqueue_perturbed(range, dir, at, urgent, stall, failed, attempt);
+                        prop_assert!(t.ready_at >= at);
+                        issued_at.insert(t.id, at);
+                    }
+                    EngineOp::Share { num, den } => e.set_lane_share(num, den),
+                    EngineOp::Drain { dt } => {
+                        now += dt;
+                        let done = e.drain_completed(now);
+                        prop_assert!(done.iter().all(|f| f.ready_at <= now));
+                        prop_assert!(done.windows(2).all(|w| w[0].id < w[1].id));
+                    }
+                    EngineOp::Cancel { dt } => {
+                        now += dt;
+                        let cancelled = e.cancel_pending(now);
+                        prop_assert!(cancelled.iter().all(|f| f.ready_at > now));
+                        prop_assert!(cancelled.windows(2).all(|w| w[0].id < w[1].id));
+                    }
+                    EngineOp::Partition { dt } => {
+                        now += dt;
+                        let mut before: Vec<u64> = e.in_flight().map(|f| f.id).collect();
+                        let done = e.drain_completed(now);
+                        let cancelled = e.cancel_pending(now);
+                        prop_assert!(done.iter().all(|f| f.ready_at <= now));
+                        prop_assert!(cancelled.iter().all(|f| f.ready_at > now));
+                        prop_assert!(e.in_flight().next().is_none());
+                        let mut after: Vec<u64> = done.iter().chain(&cancelled).map(|f| f.id).collect();
+                        before.sort_unstable();
+                        after.sort_unstable();
+                        prop_assert_eq!(before, after);
+                    }
+                }
+                for promote in [true, false] {
+                    let dir = if promote { Direction::Promote } else { Direction::Demote };
+                    for urgent in [false, true] {
+                        let mut lane: Vec<_> =
+                            e.in_flight().filter(|f| f.direction == dir && f.urgent == urgent).collect();
+                        lane.sort_unstable_by_key(|f| f.id);
+                        for f in &lane {
+                            prop_assert!(f.started_at >= issued_at[&f.id], "{} started early", f.id);
+                            prop_assert!(e.quiescent_at() >= f.ready_at, "quiescent before {}", f.id);
+                            if !urgent {
+                                prop_assert!(e.busy_until(dir) >= f.ready_at, "idle before {}", f.id);
+                            }
+                        }
+                        for w in lane.windows(2) {
+                            prop_assert!(w[0].started_at <= w[1].started_at, "{dir:?} starts went back");
+                            prop_assert!(w[0].ready_at <= w[1].ready_at, "{dir:?} completions went back");
+                        }
+                    }
+                }
             }
-            // Draining at `cut` then cancelling pending work at `cut` partitions
-            // the in-flight set exactly.
-            let cut = now + 1;
-            let done = e.drain_completed(cut);
-            let cancelled = e.cancel_pending(cut);
-            prop_assert_eq!(done.len() + cancelled.len(), issued);
-            prop_assert!(e.in_flight().next().is_none());
-            prop_assert!(done.iter().all(|f| f.ready_at <= cut));
-            prop_assert!(cancelled.iter().all(|f| f.ready_at > cut));
             Ok(())
         },
     );
