@@ -407,10 +407,10 @@ impl AdaptState {
             return all();
         };
         let mut divergent = Vec::new();
-        for layer in 0..num_layers.min(cur.len()) {
+        for (layer, &now) in cur.iter().enumerate().take(num_layers) {
             let b = base.get(layer).copied().unwrap_or(0);
             let threshold = ((b as f64) * self.cfg.drift_threshold) as u64;
-            if cur[layer] > threshold.max(b + self.cfg.layer_noise_floor) {
+            if now > threshold.max(b + self.cfg.layer_noise_floor) {
                 divergent.push(layer);
             }
         }

@@ -11,10 +11,11 @@
 //! too long violates space).
 //!
 //! Two solver implementations produce byte-identical [`MilSolution`]s:
-//! [`solve_mil`] sweeps each tensor's distinct ref-layer list once per
-//! candidate (O(L·R) over all candidates), while [`solve_mil_reference`]
-//! keeps the original per-interval range-query formulation
-//! (O(L²·t̄·log t̄)) as the pinned semantic reference; the randomized suite
+//! [`solve_mil`] answers every candidate's per-interval sums from one
+//! offline sweep over the layers (O((R + L·ln L)·log L) for `R` long-lived
+//! refs), while [`solve_mil_reference`] keeps the original per-interval
+//! range-query formulation (O(L²·t̄·log t̄)) as the pinned semantic
+//! reference; the randomized suite
 //! `crates/core/tests/planner_equivalence_prop.rs` holds them equal.
 
 use crate::error::SentinelError;
@@ -72,7 +73,7 @@ impl IntervalPlan {
     /// Whether `layer` is the first layer of its interval.
     #[must_use]
     pub fn is_interval_start(&self, layer: usize) -> bool {
-        layer % self.mil == 0
+        layer.is_multiple_of(self.mil)
     }
 }
 
@@ -106,19 +107,16 @@ pub struct MilSolution {
 /// * `reserve_bytes` — the short-lived reservation `RS` (0 when disabled).
 /// * `promote_bw` — slow→fast migration bandwidth in bytes/ns.
 ///
-/// For each candidate `MIL` this walks every long-lived tensor's distinct
-/// ref-layer list once, mapping refs to interval ids to accumulate each
-/// interval's working set and incoming-prefetch bytes into two reused
-/// scratch arrays — no per-interval allocation and no range re-scans. A
+/// Every candidate's per-interval working set and incoming-prefetch bytes
+/// come from `IntervalSums`, one offline sweep over the layers, so the
+/// cost is O((R + L·ln L)·log L) for `R` long-lived refs and `L` layers
+/// rather than one pass over every long-lived tensor per candidate. A
 /// tensor is *incoming* for interval `k` when `k` references it, it exists
 /// before `k` starts (preallocated, or `k` is not the tensor's first
 /// referencing interval — first refs are creations), and the cyclic
 /// predecessor `k−1` does not reference it (so it was not left resident).
-/// Because the distinct-interval list is strictly increasing, both
-/// conditions fall out of the sweep: the predecessor check is
-/// `prev == k−1`, with the cyclic wrap for the tensor's first interval
-/// resolved against its last. All sums are exact `u64` arithmetic, so the
-/// result is byte-identical to [`solve_mil_reference`].
+/// All sums are exact `u64` arithmetic, so the result is byte-identical to
+/// [`solve_mil_reference`].
 ///
 /// # Errors
 ///
@@ -141,68 +139,16 @@ pub fn solve_mil(
     let budget = fast_bytes - reserve_bytes;
     let migration_time = (budget as f64 / promote_bw.max(1e-9)) as i128;
 
-    // Scratch accumulators, sized for the worst case (mil = 1) and zeroed
-    // per candidate over the first `n_int` entries only.
-    let mut ws: Vec<u64> = vec![0; num_layers];
-    let mut inc: Vec<u64> = vec![0; num_layers];
-
+    let sums = IntervalSums::sweep(graph, schedule, num_layers);
     let mut candidates = Vec::with_capacity(num_layers);
     for mil in 1..=num_layers {
         let plan = IntervalPlan::new(mil, num_layers);
-        let n_int = plan.num_intervals();
-        ws[..n_int].fill(0);
-        inc[..n_int].fill(0);
-
-        for &t in schedule.long_tensor_ids() {
-            let tensor = graph.tensor(t);
-            let bytes = tensor.bytes;
-            // Sweep the distinct referencing intervals in increasing order.
-            // `first_k`/`prev_k` resolve the exists-before and left-resident
-            // conditions; interval `first_k`'s cyclic wrap needs `last_k`,
-            // so it is settled after the sweep.
-            let mut first_k = usize::MAX;
-            let mut prev_k = usize::MAX;
-            // Exclusive end layer of `prev_k`'s interval: refs are
-            // ascending, so one compare skips every ref that stays in the
-            // current interval and the division only runs on transitions.
-            let mut cur_end = 0usize;
-            for &layer in schedule.layers_of(t) {
-                if layer < cur_end {
-                    continue;
-                }
-                let k = layer / mil;
-                cur_end = (k + 1) * mil;
-                ws[k] += bytes;
-                if prev_k == usize::MAX {
-                    first_k = k;
-                } else if prev_k != k - 1 {
-                    // Exists before (not the first interval) and not
-                    // resident from the predecessor: prefetched incoming.
-                    inc[k] += bytes;
-                }
-                prev_k = k;
-            }
-            if n_int > 1 && first_k != usize::MAX {
-                let last_k = prev_k;
-                // The first referencing interval holds the tensor only if it
-                // already exists (preallocated — otherwise the first ref
-                // creates it in place) and its cyclic predecessor did not
-                // leave it resident (only possible for the wrap at k = 0).
-                if tensor.preallocated() && !(first_k == 0 && last_k == n_int - 1) {
-                    inc[first_k] += bytes;
-                }
-            }
-        }
-
-        // `Tensor(MIL)`: an interval's own working set plus the bytes being
-        // prefetched for the *next* (cyclically) interval during it.
-        let tensor_bytes =
-            (0..n_int).map(|k| ws[k] + inc[(k + 1) % n_int]).max().unwrap_or(0);
+        let tensor_bytes = sums.tensor_bytes(&plan);
         let interval_time_ns: Ns = if profile.layer_times_ns.is_empty() {
             0
         } else {
             // Worst case for exposure is the *shortest* interval.
-            (0..n_int)
+            (0..plan.num_intervals())
                 .map(|k| profile.time_for_layers(plan.start_layer(k), plan.end_layer(k)))
                 .min()
                 .unwrap_or(0)
@@ -219,6 +165,170 @@ pub fn solve_mil(
     // Largest feasible MIL minimizes the Eq. 2 objective; fall back to 1.
     let mil = candidates.iter().filter(|c| c.feasible).map(|c| c.mil).max().unwrap_or(1);
     Ok(MilSolution { mil, candidates })
+}
+
+/// Every candidate's per-interval long-lived byte sums, from one sweep.
+///
+/// Each distinct `(tensor, layer)` reference of a long-lived tensor is a
+/// point at `x = layer` whose key is the tensor's previous referencing
+/// layer plus one (0 for its first reference). `Q(X, Y)` sums the bytes of
+/// the points with `x < X` and `key <= Y`. For interval `[s, e)`:
+///
+/// * its working set counts each tensor at its first reference in the
+///   interval, the one point with `key <= s`: `Q(e, s) − Q(s, s)`, where
+///   `Q(s, s)` is a plain prefix sum over `x`;
+/// * a tensor is prefetched into interval `k >= 1` when that point's
+///   previous reference also precedes interval `k−1`, `key <= s − mil`,
+///   and the point is not the reference that creates a runtime tensor:
+///   `Q(e, s − mil) − Q(s, s − mil)` minus those creations, where
+///   `Q(s, s − mil)` is interval `k−1`'s own `Q(e, s)`;
+/// * interval 0 takes the preallocated tensors first used in it that the
+///   last interval does not leave resident (none when it is the only one).
+///
+/// The sweep walks `X = 1..=L`, adds layer `X−1`'s points to a Fenwick tree
+/// over `key`, and answers the queries of every interval that ends at `X`:
+/// about `2·L·ln L` of them over all candidates.
+struct IntervalSums {
+    /// Slot of interval 0 of candidate `mil` is `base[mil − 1]`; interval
+    /// `k` of it is `base[mil − 1] + k`.
+    base: Vec<usize>,
+    /// `Q(e, s)` per slot.
+    own: Vec<u64>,
+    /// `Q(e, s − mil)` per slot (unused at `k = 0`).
+    from_prev: Vec<u64>,
+    /// Incoming bytes of interval 0, per candidate.
+    head: Vec<u64>,
+    /// `refs_before[x]`: bytes of every point with `x' < x`.
+    refs_before: Vec<u64>,
+    /// `created_before[x]`: bytes of runtime tensors first referenced
+    /// before layer `x`.
+    created_before: Vec<u64>,
+}
+
+impl IntervalSums {
+    fn sweep(graph: &Graph, schedule: &Schedule, layers: usize) -> Self {
+        // Group every candidate's intervals by end layer (a counting sort),
+        // so the sweep reaches each interval's queries at its end.
+        let mut base = Vec::with_capacity(layers);
+        let mut by_end = vec![0usize; layers + 2];
+        let mut slots = 0;
+        for mil in 1..=layers {
+            base.push(slots);
+            let n = layers.div_ceil(mil);
+            slots += n;
+            for k in 0..n {
+                by_end[((k + 1) * mil).min(layers) + 1] += 1;
+            }
+        }
+        for x in 1..by_end.len() {
+            by_end[x] += by_end[x - 1];
+        }
+        let mut fill = by_end.clone();
+        let mut ending: Vec<(usize, usize)> = vec![(0, 0); slots];
+        for mil in 1..=layers {
+            for k in 0..layers.div_ceil(mil) {
+                let end = ((k + 1) * mil).min(layers);
+                ending[fill[end]] = (mil, k);
+                fill[end] += 1;
+            }
+        }
+
+        let mut sums = IntervalSums {
+            base,
+            own: vec![0; slots],
+            from_prev: vec![0; slots],
+            head: vec![0; layers],
+            refs_before: Vec::with_capacity(layers + 1),
+            created_before: Vec::with_capacity(layers + 1),
+        };
+        sums.refs_before.push(0);
+        sums.created_before.push(0);
+        let mut by_key = Fenwick::new(layers);
+        // Preallocated tensors seen so far, keyed by their last ref layer.
+        let mut prealloc_by_last = Fenwick::new(layers);
+        let mut last_seen = vec![usize::MAX; graph.num_tensors()];
+        for x in 1..=layers {
+            let layer = x - 1;
+            let mut refs = sums.refs_before[layer];
+            let mut created = sums.created_before[layer];
+            for &t in schedule.long_tensors_in_layer(layer) {
+                let tensor = graph.tensor(t);
+                let prev = std::mem::replace(&mut last_seen[t.index()], layer);
+                if prev != usize::MAX {
+                    by_key.add(prev + 1, tensor.bytes);
+                } else {
+                    by_key.add(0, tensor.bytes);
+                    if tensor.preallocated() {
+                        let last = schedule.layers_of(t).last().copied().unwrap_or(layer);
+                        prealloc_by_last.add(last, tensor.bytes);
+                    } else {
+                        created += tensor.bytes;
+                    }
+                }
+                refs += tensor.bytes;
+            }
+            sums.refs_before.push(refs);
+            sums.created_before.push(created);
+            // Candidate `mil = x`: every preallocated tensor first used in
+            // interval 0 has now been seen; the last interval starts at
+            // `(n − 1)·mil` and keeps those it references resident.
+            sums.head[x - 1] = prealloc_by_last.sum_below((layers.div_ceil(x) - 1) * x);
+            for &(mil, k) in &ending[by_end[x]..by_end[x + 1]] {
+                let (slot, start) = (sums.base[mil - 1] + k, k * mil);
+                sums.own[slot] = by_key.sum_below(start + 1);
+                if k > 0 {
+                    sums.from_prev[slot] = by_key.sum_below(start - mil + 1);
+                }
+            }
+        }
+        sums
+    }
+
+    /// `Tensor(MIL)`: the largest sum, over intervals, of an interval's
+    /// own working set plus the bytes being prefetched for the *next*
+    /// (cyclically) interval during it.
+    fn tensor_bytes(&self, plan: &IntervalPlan) -> u64 {
+        let n = plan.num_intervals();
+        let base = self.base[plan.mil - 1];
+        let working_set = |k: usize| self.own[base + k] - self.refs_before[plan.start_layer(k)];
+        let incoming = |k: usize| {
+            if k == 0 {
+                return self.head[plan.mil - 1];
+            }
+            let (start, end) = (plan.start_layer(k), plan.end_layer(k));
+            self.from_prev[base + k]
+                - self.own[base + k - 1]
+                - (self.created_before[end] - self.created_before[start])
+        };
+        (0..n).map(|k| working_set(k) + incoming((k + 1) % n)).max().unwrap_or(0)
+    }
+}
+
+/// A Fenwick (binary indexed) tree of byte sums over indices `0..=len`.
+struct Fenwick(Vec<u64>);
+
+impl Fenwick {
+    fn new(len: usize) -> Self {
+        Fenwick(vec![0; len + 2])
+    }
+
+    fn add(&mut self, index: usize, bytes: u64) {
+        let mut i = index + 1;
+        while i < self.0.len() {
+            self.0[i] += bytes;
+            i += i & i.wrapping_neg();
+        }
+    }
+
+    /// Sum of the bytes at indices below `end`.
+    fn sum_below(&self, end: usize) -> u64 {
+        let (mut i, mut sum) = (end, 0);
+        while i > 0 {
+            sum += self.0[i];
+            i &= i - 1;
+        }
+        sum
+    }
 }
 
 /// The original per-interval range-query solver, preserved verbatim as the

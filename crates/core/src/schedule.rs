@@ -15,7 +15,7 @@ use sentinel_profiler::ProfileReport;
 /// contiguous value array plus an offsets array per axis — so the hot
 /// queries ([`Schedule::layers_of`], [`Schedule::long_tensors_in_layer`])
 /// are O(1) slice lookups with no per-call allocation, and the interval
-/// solver can sweep every tensor's distinct ref-layer list in one pass.
+/// solver sweeps every layer's long-lived list once for all candidates.
 #[derive(Debug, Clone)]
 pub struct Schedule {
     /// CSR offsets into `ref_layers`: tensor `t`'s sorted distinct

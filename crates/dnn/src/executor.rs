@@ -196,57 +196,44 @@ impl<'g> Executor<'g> {
     }
 
     fn run_op(&mut self, policy: &mut dyn MemoryManager, at: OpRef) -> Result<(), ExecError> {
-        // Allocate outputs (and op-internal temporaries) on first use.
-        let writes: Vec<(TensorId, u32)> = {
-            let op = &self.ctx.graph().layers()[at.layer].ops[at.op];
-            op.writes.iter().map(|o| (o.tensor, o.passes)).collect()
-        };
-        let reads: Vec<(TensorId, u32)> = {
-            let op = &self.ctx.graph().layers()[at.layer].ops[at.op];
-            op.reads.iter().map(|o| (o.tensor, o.passes)).collect()
-        };
-        let flops = self.ctx.graph().layers()[at.layer].ops[at.op].flops;
+        // The graph outlives the context borrow, so the op's operands are
+        // walked in place while the context is mutated.
+        let graph = self.ctx.graph();
+        let op = &graph.layers()[at.layer].ops[at.op];
 
-        for &(t, _) in &writes {
-            if !self.ctx.is_live(t) {
-                self.allocate(policy, t)?;
+        // Allocate outputs (and op-internal temporaries) on first use.
+        for o in &op.writes {
+            if !self.ctx.is_live(o.tensor) {
+                self.allocate(policy, o.tensor)?;
             }
         }
         policy.before_op(at, &mut self.ctx);
 
-        for &(t, passes) in &reads {
-            policy.before_access(t, AccessKind::Read, &mut self.ctx);
-            if !self.ctx.is_live(t) {
+        for o in &op.reads {
+            policy.before_access(o.tensor, AccessKind::Read, &mut self.ctx);
+            if !self.ctx.is_live(o.tensor) {
                 // A policy dropped it (recompute flow) and failed to restore.
-                return Err(ExecError::NotAllocated { tensor: t });
+                return Err(ExecError::NotAllocated { tensor: o.tensor });
             }
-            for _ in 0..passes {
-                self.ctx.access_tensor(t, AccessKind::Read)?;
+            for _ in 0..o.passes {
+                self.ctx.access_tensor(o.tensor, AccessKind::Read)?;
             }
         }
-        self.ctx.charge_compute(flops);
-        for &(t, passes) in &writes {
-            policy.before_access(t, AccessKind::Write, &mut self.ctx);
-            for _ in 0..passes {
-                self.ctx.access_tensor(t, AccessKind::Write)?;
+        self.ctx.charge_compute(op.flops);
+        for o in &op.writes {
+            policy.before_access(o.tensor, AccessKind::Write, &mut self.ctx);
+            for _ in 0..o.passes {
+                self.ctx.access_tensor(o.tensor, AccessKind::Write)?;
             }
         }
         policy.after_op(at, &mut self.ctx);
 
-        // Free tensors whose last reference this op was.
-        let mut dead: Vec<TensorId> = Vec::new();
-        {
-            let graph = self.ctx.graph();
-            let op = &graph.layers()[at.layer].ops[at.op];
-            for t in op.referenced() {
-                let tensor = graph.tensor(t);
-                if tensor.last_ref == Some(at) && !tensor.preallocated() && !dead.contains(&t) {
-                    dead.push(t);
-                }
-            }
-        }
-        for t in dead {
-            if self.ctx.is_live(t) {
+        // Free tensors whose last reference this op was. A tensor the op
+        // names twice is released at its first sighting; at the second it
+        // is no longer live.
+        for t in op.referenced() {
+            let tensor = graph.tensor(t);
+            if tensor.last_ref == Some(at) && !tensor.preallocated() && self.ctx.is_live(t) {
                 policy.on_free(t, &mut self.ctx);
                 if self.ctx.is_live(t) {
                     self.ctx.release(t)?;
@@ -257,9 +244,9 @@ impl<'g> Executor<'g> {
     }
 
     fn allocate(&mut self, policy: &mut dyn MemoryManager, t: TensorId) -> Result<(), ExecError> {
-        let tensor = self.ctx.graph().tensor(t).clone();
-        let spec = policy.pool_for(&tensor, &self.ctx);
-        let mut tier = policy.tier_for(&tensor, &self.ctx);
+        let tensor = self.ctx.graph().tensor(t);
+        let spec = policy.pool_for(tensor, &self.ctx);
+        let mut tier = policy.tier_for(tensor, &self.ctx);
         let mut tried_other = false;
         let mut retries = 0;
         loop {

@@ -95,26 +95,23 @@ impl Graph {
     /// consumption" used to size fast memory (e.g. 20% of peak).
     #[must_use]
     pub fn peak_live_bytes(&self) -> u64 {
-        (0..self.layers.len().max(1))
-            .map(|l| self.live_bytes_in_layer(l))
-            .max()
-            .unwrap_or(0)
+        let layers = self.layers.len().max(1);
+        let spans = self.tensors.iter().filter_map(|t| {
+            let (first, last) = if t.preallocated() { (0, layers - 1) } else { t.layer_span()? };
+            Some((first, last, t.bytes))
+        });
+        peak_overlap(layers, spans)
     }
 
     /// Peak bytes of *short-lived* tensors live in any single layer — the
     /// size Sentinel must reserve in fast memory (Section IV-C).
     #[must_use]
     pub fn peak_short_lived_bytes(&self) -> u64 {
-        (0..self.layers.len().max(1))
-            .map(|l| {
-                self.tensors
-                    .iter()
-                    .filter(|t| t.is_short_lived() && t.live_in_layer(l))
-                    .map(|t| t.bytes)
-                    .sum::<u64>()
-            })
-            .max()
-            .unwrap_or(0)
+        let spans = self.short_lived().filter_map(|t| {
+            let (first, last) = t.layer_span()?;
+            Some((first, last, t.bytes))
+        });
+        peak_overlap(self.layers.len().max(1), spans)
     }
 
     /// Peak *concurrent* bytes of short-lived tensors, at op granularity:
@@ -125,33 +122,23 @@ impl Graph {
     /// sequence.
     #[must_use]
     pub fn peak_short_lived_concurrent_bytes(&self) -> u64 {
-        let mut delta_at_op: Vec<(usize, i64)> = Vec::new(); // (linear op index, ±bytes)
-        let mut linear = 0usize;
-        let mut op_linear = std::collections::HashMap::new();
-        for (li, layer) in self.layers.iter().enumerate() {
-            for oi in 0..layer.ops.len() {
-                op_linear.insert((li, oi), linear);
-                linear += 1;
-            }
+        // Ops are numbered in execution order: layer `l`'s first op is
+        // `op_base[l]`.
+        let mut op_base = Vec::with_capacity(self.layers.len());
+        let mut ops = 0;
+        for layer in &self.layers {
+            op_base.push(ops);
+            ops += layer.ops.len();
         }
-        for t in &self.tensors {
-            if !t.is_short_lived() {
-                continue;
-            }
-            if let (Some(f), Some(l)) = (t.first_ref, t.last_ref) {
-                let start = op_linear[&(f.layer, f.op)];
-                let end = op_linear[&(l.layer, l.op)];
-                delta_at_op.push((start, t.bytes as i64));
-                delta_at_op.push((end + 1, -(t.bytes as i64)));
-            }
-        }
-        delta_at_op.sort_unstable();
-        let (mut cur, mut peak) = (0i64, 0i64);
-        for (_, d) in delta_at_op {
-            cur += d;
-            peak = peak.max(cur);
-        }
-        peak.max(0) as u64
+        let linear = |at: OpRef| op_base[at.layer] + at.op;
+        let spans = self.short_lived().filter_map(|t| {
+            Some((linear(t.first_ref?), linear(t.last_ref?), t.bytes))
+        });
+        peak_overlap(ops, spans)
+    }
+
+    fn short_lived(&self) -> impl Iterator<Item = &Tensor> + '_ {
+        self.tensors.iter().filter(|t| t.is_short_lived())
     }
 
     /// Largest single long-lived (or preallocated) tensor, in bytes. Together
@@ -312,6 +299,25 @@ impl GraphBuilder {
         }
         Ok(Graph { name: self.name, batch: self.batch, tensors: self.tensors, layers: self.layers })
     }
+}
+
+/// The most bytes occupied at any one of the positions `0..len`, given
+/// each occupant's inclusive `(first, last, bytes)` span: one pass adding
+/// each occupant where it starts and removing it after it ends.
+fn peak_overlap(len: usize, spans: impl Iterator<Item = (usize, usize, u64)>) -> u64 {
+    let mut starts = vec![0u64; len];
+    let mut ends = vec![0u64; len];
+    for (first, last, bytes) in spans {
+        starts[first] += bytes;
+        ends[last] += bytes;
+    }
+    let (mut live, mut peak) = (0, 0);
+    for (start, end) in starts.iter().zip(&ends) {
+        live += start;
+        peak = peak.max(live);
+        live -= end;
+    }
+    peak
 }
 
 fn touch(t: &mut Tensor, at: OpRef) {

@@ -15,28 +15,40 @@
 
 use crate::PageRange;
 
+/// Pages per block of counts in a [`PageAccessMap`].
+const BLOCK_PAGES: usize = 32;
+
 /// Per-page main-memory access counts collected during a profiling step.
 ///
-/// Counts are stored densely, indexed by page number — pages are small
-/// contiguous indices into the simulated virtual space, so this is both
-/// smaller and much faster than a hash map, and it makes the bulk
-/// [`PageAccessProfiler::record_faults`] a straight `+= 1` sweep over a
-/// slice. Equality ignores trailing never-touched pages: two maps are equal
-/// iff they record the same count for every page.
+/// Counts live in fixed-size blocks of `BLOCK_PAGES` (32) pages, each allocated
+/// when one of its pages first faults, and are found through a directory
+/// holding one `u32` per block of the page space. A profiling run reserves
+/// far more pages than it touches (every page-aligned pool takes a whole
+/// chunk), so the map costs the blocks the faults touch plus four bytes per
+/// block of address space, not eight bytes per page up to the highest one.
+/// The bulk [`PageAccessProfiler::record_faults`] is a `+= 1` sweep over
+/// each block's slice of the range. Two maps are equal iff they record the
+/// same count for every page.
 #[derive(Debug, Clone, Default, Eq)]
 pub struct PageAccessMap {
-    counts: Vec<u64>,
+    /// `dir[page / BLOCK_PAGES]` is one more than the index in `blocks` of
+    /// the page's block, or 0 while none of the block's pages has faulted.
+    dir: Vec<u32>,
+    blocks: Vec<[u64; BLOCK_PAGES]>,
     total: u64,
     touched: usize,
 }
 
 impl PartialEq for PageAccessMap {
     fn eq(&self, other: &Self) -> bool {
-        let (short, long) =
-            if self.counts.len() <= other.counts.len() { (self, other) } else { (other, self) };
-        short.counts == long.counts[..short.counts.len()]
-            && long.counts[short.counts.len()..].iter().all(|&c| c == 0)
+        self.iter().eq(other.iter())
     }
+}
+
+/// The block holding `page`, and the page's offset in it.
+fn block_of(page: u64) -> (usize, usize) {
+    let block = usize::try_from(page / BLOCK_PAGES as u64).expect("page numbers fit in usize");
+    (block, (page % BLOCK_PAGES as u64) as usize)
 }
 
 impl PageAccessMap {
@@ -46,18 +58,33 @@ impl PageAccessMap {
         Self::default()
     }
 
+    fn block(&self, block: usize) -> Option<&[u64; BLOCK_PAGES]> {
+        let slot = *self.dir.get(block)?;
+        slot.checked_sub(1).map(|i| &self.blocks[i as usize])
+    }
+
     /// Accesses counted for `page` (zero if never faulted).
     #[must_use]
     pub fn count(&self, page: u64) -> u64 {
-        self.counts.get(page as usize).copied().unwrap_or(0)
+        let (block, offset) = block_of(page);
+        self.block(block).map_or(0, |counts| counts[offset])
     }
 
     /// Sum of counts over a page range.
     #[must_use]
     pub fn count_range(&self, range: PageRange) -> u64 {
-        let start = (range.first as usize).min(self.counts.len());
-        let end = (range.end() as usize).min(self.counts.len()).max(start);
-        self.counts[start..end].iter().sum()
+        let end = range.end().min((self.dir.len() * BLOCK_PAGES) as u64);
+        let mut page = range.first;
+        let mut sum = 0;
+        while page < end {
+            let (block, offset) = block_of(page);
+            let len = (BLOCK_PAGES - offset).min((end - page) as usize);
+            if let Some(counts) = self.block(block) {
+                sum += counts[offset..offset + len].iter().sum::<u64>();
+            }
+            page += len as u64;
+        }
+        sum
     }
 
     /// Total accesses counted.
@@ -75,11 +102,12 @@ impl PageAccessMap {
     /// Iterate over `(page, count)` pairs for touched pages, in ascending
     /// page order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(p, &c)| (p as u64, c))
+        let touched = self.dir.iter().enumerate().filter(|&(_, &slot)| slot != 0);
+        touched.flat_map(move |(block, &slot)| {
+            let first = (block * BLOCK_PAGES) as u64;
+            let counts = self.blocks[slot as usize - 1].iter();
+            counts.zip(first..).filter(|&(&c, _)| c > 0).map(|(&c, page)| (page, c))
+        })
     }
 
     fn bump(&mut self, page: u64) {
@@ -88,18 +116,26 @@ impl PageAccessMap {
 
     /// Add one access to every page of `range` (bulk fault recording).
     fn record_range(&mut self, range: PageRange) {
-        if range.is_empty() {
-            return;
-        }
-        if range.end() as usize > self.counts.len() {
-            self.counts.resize(range.end() as usize, 0);
-        }
-        for c in &mut self.counts[range.first as usize..range.end() as usize] {
-            if *c == 0 {
-                self.touched += 1;
+        let (mut page, end) = (range.first, range.end());
+        let mut touched = 0;
+        while page < end {
+            let (block, offset) = block_of(page);
+            let len = (BLOCK_PAGES - offset).min((end - page) as usize);
+            if block >= self.dir.len() {
+                self.dir.resize(block + 1, 0);
             }
-            *c += 1;
+            if self.dir[block] == 0 {
+                self.blocks.push([0; BLOCK_PAGES]);
+                self.dir[block] = u32::try_from(self.blocks.len()).expect("fewer than 2^32 blocks");
+            }
+            let counts = &mut self.blocks[self.dir[block] as usize - 1];
+            for c in &mut counts[offset..offset + len] {
+                touched += usize::from(*c == 0);
+                *c += 1;
+            }
+            page += len as u64;
         }
+        self.touched += touched;
         self.total += range.count;
     }
 }

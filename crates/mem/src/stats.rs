@@ -173,8 +173,8 @@ impl MemStats {
 
     /// Record the current mapped-page counts into the running peak.
     pub fn observe_mapped(&mut self, mapped: [u64; 2]) {
-        for i in 0..2 {
-            self.peak_mapped_pages[i] = self.peak_mapped_pages[i].max(mapped[i]);
+        for (peak, now) in self.peak_mapped_pages.iter_mut().zip(mapped) {
+            *peak = (*peak).max(now);
         }
     }
 }

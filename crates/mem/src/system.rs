@@ -1347,7 +1347,7 @@ impl MemorySystem {
             return;
         }
         self.sanitize_events += 1;
-        if self.sanitize_events % SANITIZE_STRIDE != 0 {
+        if !self.sanitize_events.is_multiple_of(SANITIZE_STRIDE) {
             return;
         }
         if let Err(e) = self.check_invariants() {

@@ -147,11 +147,12 @@ pub fn read_frame(r: &mut impl Read, max_bytes: usize) -> Result<Json, WireError
 /// Propagates transport I/O errors; a payload past `u32::MAX` (never
 /// produced by this codebase) is reported as [`io::ErrorKind::InvalidData`].
 pub fn write_frame(w: &mut impl Write, msg: &Json) -> io::Result<()> {
-    let payload = msg.to_string().into_bytes();
+    let mut payload = String::new();
+    msg.write_compact(&mut payload);
     let len = u32::try_from(payload.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame payload too large"))?;
     w.write_all(&len.to_be_bytes())?;
-    w.write_all(&payload)?;
+    w.write_all(payload.as_bytes())?;
     w.flush()
 }
 

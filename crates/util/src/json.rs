@@ -71,7 +71,7 @@ impl fmt::Display for Json {
     /// clients print frames this way.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut out = String::new();
-        self.write(&mut out, false);
+        self.write_compact(&mut out);
         f.write_str(&out)
     }
 }
@@ -112,6 +112,12 @@ impl Json {
             Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
+    }
+
+    /// Append the compact serialization (the text `to_string()` gives) to
+    /// `out`, so a caller that sends it builds it in its own buffer once.
+    pub fn write_compact(&self, out: &mut String) {
+        self.write(out, false);
     }
 
     /// Pretty serialization with two-space indentation and a trailing newline.

@@ -198,11 +198,9 @@ pub fn shrink_vec<T: Clone>(
             }
             // Then single-element removals (bounded for long vectors).
             for i in 0..n.min(24) {
-                if n - 1 >= min_len {
-                    let mut smaller = v.clone();
-                    smaller.remove(i);
-                    out.push(smaller);
-                }
+                let mut smaller = v.clone();
+                smaller.remove(i);
+                out.push(smaller);
             }
         }
         // Element-wise shrinks keep the length, reduce the content.

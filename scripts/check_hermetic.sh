@@ -19,6 +19,12 @@ echo "== clippy: every workspace target lints without errors =="
 # but do not.
 cargo clippy --workspace --all-targets --offline
 
+echo "== clippy: the training-path libraries lint without warnings =="
+# The libraries every training step runs through are held warning-free;
+# the step above stays warn-only for the other targets.
+cargo clippy -p sentinel-util -p sentinel-mem -p sentinel-dnn -p sentinel-profiler \
+    -p sentinel-core --lib --offline -- -D warnings
+
 repo_root=$PWD
 trace_tmp=$(mktemp -d)
 trap 'rm -rf "$trace_tmp"' EXIT
