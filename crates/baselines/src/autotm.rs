@@ -11,7 +11,7 @@
 //! AutoTM between fast and slow memories are exposed to the critical path".
 
 use crate::common::{ensure_resident_sync, StaticProfile};
-use sentinel_dnn::{ExecCtx, MemoryManager, Tensor, TensorId};
+use sentinel_dnn::{ExecCtx, MemoryManager, Schedule, Tensor, TensorId};
 use sentinel_mem::{pages_for_bytes, AccessKind, Ns, Tier};
 
 /// Fraction of fast memory the planner budgets (headroom for fragmentation).
@@ -22,7 +22,7 @@ const IDLE_LAYERS: usize = 2;
 /// The AutoTM baseline policy.
 #[derive(Debug, Default)]
 pub struct AutoTm {
-    profile: Option<StaticProfile>,
+    schedule: Option<Schedule>,
     /// Whether the plan assigns each tensor to fast memory.
     assigned_fast: Vec<bool>,
     /// layer → planned-fast tensors referenced in that layer.
@@ -40,6 +40,7 @@ impl AutoTm {
     fn plan(&mut self, ctx: &ExecCtx<'_>) {
         let graph = ctx.graph();
         let profile = StaticProfile::new(graph);
+        let schedule = Schedule::new(graph);
         let num_layers = graph.num_layers();
         let budget = (ctx.mem().config().fast.capacity_bytes as f64 * PLAN_BUDGET) as u64;
 
@@ -54,12 +55,9 @@ impl AutoTm {
         let mut per_layer_bytes = vec![0u64; num_layers];
         let mut assigned = vec![false; graph.num_tensors()];
         for t in order {
-            let layers = &profile.ref_layers[t.index()];
-            if layers.is_empty() {
-                continue;
-            }
+            let layers = schedule.layers_of(t);
+            let (Some(&first), Some(&last)) = (layers.first(), layers.last()) else { continue };
             let bytes = graph.tensor(t).bytes;
-            let (first, last) = (layers[0], *layers.last().expect("non-empty"));
             if (first..=last).all(|l| per_layer_bytes[l] + bytes <= budget) {
                 for l in first..=last {
                     per_layer_bytes[l] += bytes;
@@ -72,14 +70,14 @@ impl AutoTm {
         for (i, &is_fast) in assigned.iter().enumerate() {
             if is_fast {
                 let t = TensorId(i as u32);
-                for &l in &profile.ref_layers[i] {
+                for &l in schedule.layers_of(t) {
                     by_layer[l].push(t);
                 }
             }
         }
         self.assigned_fast = assigned;
         self.by_layer = by_layer;
-        self.profile = Some(profile);
+        self.schedule = Some(schedule);
     }
 }
 
@@ -129,19 +127,19 @@ impl MemoryManager for AutoTm {
             return;
         }
         if ctx.is_live(tensor) && ctx.tensor_bytes_in(tensor, Tier::Slow) > 0 {
-            if let Some(profile) = self.profile.as_ref() {
-                ensure_resident_sync(ctx, tensor, profile, self.current_layer);
+            if let Some(schedule) = self.schedule.as_ref() {
+                ensure_resident_sync(ctx, tensor, schedule, self.current_layer);
             }
         }
     }
 
     fn after_layer(&mut self, layer: usize, ctx: &mut ExecCtx<'_>) {
-        let Some(profile) = self.profile.as_ref() else { return };
+        let Some(schedule) = self.schedule.as_ref() else { return };
         let idle: Vec<TensorId> = self.by_layer[layer]
             .iter()
             .copied()
             .filter(|&t| ctx.is_live(t) && ctx.tensor_bytes_in(t, Tier::Fast) > 0)
-            .filter(|&t| match profile.next_use(t, layer + 1) {
+            .filter(|&t| match schedule.next_use(t, layer + 1) {
                 None => true,
                 Some(n) => n > layer + IDLE_LAYERS,
             })

@@ -10,9 +10,7 @@
 //! entirely.
 
 use crate::common::{ensure_resident_sync, StaticProfile};
-use sentinel_dnn::{
-    ExecCtx, Graph, MemoryManager, PoolSpec, TensorId,
-};
+use sentinel_dnn::{ExecCtx, Graph, MemoryManager, PoolSpec, Schedule, TensorId};
 use sentinel_mem::{AccessKind, Ns, Tier};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,6 +25,7 @@ enum Decision {
 pub struct Capuchin {
     decisions: Vec<Decision>,
     profile: Option<StaticProfile>,
+    schedule: Option<Schedule>,
     /// Measured per-layer times from the first (profiling) step.
     layer_times: Vec<Ns>,
     layer_mark: Ns,
@@ -41,6 +40,7 @@ impl Capuchin {
         Capuchin {
             decisions: Vec::new(),
             profile: None,
+            schedule: None,
             layer_times: Vec::new(),
             layer_mark: 0,
             planned: false,
@@ -50,6 +50,7 @@ impl Capuchin {
 
     fn plan(&mut self, graph: &Graph, ctx: &ExecCtx<'_>) {
         let profile = self.profile.as_ref().expect("profiled before planning");
+        let schedule = self.schedule.as_ref().expect("indexed before planning");
         let bw = ctx.mem().config().promote_bw_bytes_per_ns;
         let throughput = ctx.mem().config().compute_flops_per_ns;
         let mut decisions = vec![Decision::Keep; graph.num_tensors()];
@@ -57,7 +58,7 @@ impl Capuchin {
             if t.preallocated() || t.is_short_lived() || t.bytes < 4096 {
                 continue;
             }
-            let layers = &profile.ref_layers[t.id.index()];
+            let layers = schedule.layers_of(t.id);
             let (Some(&first), Some(&last)) = (layers.first(), layers.last()) else { continue };
             if last <= first + 2 {
                 continue; // no useful gap
@@ -94,6 +95,7 @@ impl MemoryManager for Capuchin {
 
     fn on_train_begin(&mut self, ctx: &mut ExecCtx<'_>) {
         self.profile = Some(StaticProfile::new(ctx.graph()));
+        self.schedule = Some(Schedule::new(ctx.graph()));
         self.decisions = vec![Decision::Keep; ctx.graph().num_tensors()];
     }
 
@@ -106,12 +108,12 @@ impl MemoryManager for Capuchin {
         // Prefetch swapped tensors a few layers ahead of their use, sized so
         // the PCIe channel can keep up (Capuchin schedules swap-ins at
         // measured trigger points).
-        let Some(profile) = self.profile.as_ref() else { return };
+        let Some(schedule) = self.schedule.as_ref() else { return };
         let movers: Vec<TensorId> = (0..self.decisions.len())
             .filter(|&i| self.decisions[i] == Decision::Swap)
             .map(|i| TensorId(i as u32))
             .filter(|&t| ctx.is_live(t) && ctx.tensor_bytes_in(t, Tier::Slow) > 0)
-            .filter(|&t| matches!(profile.next_use(t, layer), Some(n) if n <= layer + 4))
+            .filter(|&t| matches!(schedule.next_use(t, layer), Some(n) if n <= layer + 4))
             .collect();
         for t in movers {
             let _ = ctx.migrate_tensor(t, Tier::Fast);
@@ -124,7 +126,7 @@ impl MemoryManager for Capuchin {
             self.layer_times.push(ctx.now() - self.layer_mark);
             return;
         }
-        let Some(profile) = self.profile.as_ref() else { return };
+        let Some(schedule) = self.schedule.as_ref() else { return };
         // Swap out / discard tensors that entered their gap.
         let mut to_swap = Vec::new();
         let mut to_drop = Vec::new();
@@ -135,7 +137,7 @@ impl MemoryManager for Capuchin {
             }
             // Demote only tensors idle beyond the prefetch horizon, so a
             // swap-out is never immediately undone by the next swap-in.
-            let in_gap = match profile.next_use(t, layer + 1) {
+            let in_gap = match schedule.next_use(t, layer + 1) {
                 None => false, // dead soon anyway
                 Some(n) => n > layer + 5,
             };
@@ -174,8 +176,8 @@ impl MemoryManager for Capuchin {
             }
             _ if ctx.is_live(tensor) && ctx.tensor_bytes_in(tensor, Tier::Slow) > 0 => {
                 // Late swap-in or unplanned resident: demand-fault it in.
-                if let Some(profile) = self.profile.as_ref() {
-                    ensure_resident_sync(ctx, tensor, profile, self.current_layer);
+                if let Some(schedule) = self.schedule.as_ref() {
+                    ensure_resident_sync(ctx, tensor, schedule, self.current_layer);
                 }
             }
             _ => {}

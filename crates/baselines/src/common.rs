@@ -1,19 +1,19 @@
 //! Shared helpers for baseline policies.
 
-use sentinel_dnn::{Graph, OpRef, TensorId};
+use sentinel_dnn::{Graph, OpRef, Schedule, TensorId};
 
 /// Static (graph-derived) statistics baselines plan with. Unlike Sentinel's
 /// dynamic profile, these are *reference* counts — they ignore the cache
 /// hierarchy, which is precisely the inaccuracy the paper attributes to
-/// static-profiling systems.
+/// static-profiling systems. Which layers reference a tensor, and when it is
+/// next used, come from the graph's [`Schedule`], the index Sentinel plans
+/// with too.
 #[derive(Debug, Clone)]
 pub struct StaticProfile {
     /// tensor → number of op references (passes included).
     pub ref_counts: Vec<u64>,
     /// tensor → producing op (first writer), for recomputation costing.
     pub producer: Vec<Option<OpRef>>,
-    /// tensor → sorted distinct layers referencing it.
-    pub ref_layers: Vec<Vec<usize>>,
 }
 
 impl StaticProfile {
@@ -23,15 +23,10 @@ impl StaticProfile {
         let n = graph.num_tensors();
         let mut ref_counts = vec![0u64; n];
         let mut producer: Vec<Option<OpRef>> = vec![None; n];
-        let mut ref_layers: Vec<Vec<usize>> = vec![Vec::new(); n];
         for (li, layer) in graph.layers().iter().enumerate() {
             for (oi, op) in layer.ops.iter().enumerate() {
                 for o in op.reads.iter().chain(op.writes.iter()) {
                     ref_counts[o.tensor.index()] += u64::from(o.passes);
-                    let layers = &mut ref_layers[o.tensor.index()];
-                    if layers.last() != Some(&li) {
-                        layers.push(li);
-                    }
                 }
                 for o in &op.writes {
                     if producer[o.tensor.index()].is_none() {
@@ -40,7 +35,7 @@ impl StaticProfile {
                 }
             }
         }
-        StaticProfile { ref_counts, producer, ref_layers }
+        StaticProfile { ref_counts, producer }
     }
 
     /// FLOPs of the op that produces `t` (for recomputation cost), 0 if none.
@@ -50,22 +45,11 @@ impl StaticProfile {
             .map(|at| graph.layers()[at.layer].ops[at.op].flops)
             .unwrap_or(0)
     }
-
-    /// Next layer `>= layer` referencing `t` within this step, if any.
-    #[must_use]
-    pub fn next_use(&self, t: TensorId, layer: usize) -> Option<usize> {
-        self.ref_layers[t.index()].iter().copied().find(|&l| l >= layer)
-    }
-
-    /// Last layer referencing `t`, if any.
-    #[must_use]
-    pub fn last_use(&self, t: TensorId) -> Option<usize> {
-        self.ref_layers[t.index()].last().copied()
-    }
 }
 
 /// Synchronously fault `t` into fast memory, evicting fast-resident tensors
-/// with the farthest next use until it fits. Returns `false` if residency
+/// with the farthest next use within the step (per `schedule`) until it
+/// fits. Returns `false` if residency
 /// could not be established (the access is then served from slow memory).
 ///
 /// This is the demand-paging fallback every GPU-side baseline needs: a
@@ -74,7 +58,7 @@ impl StaticProfile {
 pub fn ensure_resident_sync(
     ctx: &mut sentinel_dnn::ExecCtx<'_>,
     t: TensorId,
-    profile: &StaticProfile,
+    schedule: &Schedule,
     current_layer: usize,
 ) -> bool {
     use sentinel_mem::{pages_for_bytes, Tier};
@@ -88,7 +72,7 @@ pub fn ensure_resident_sync(
     let free = ctx.mem().free_pages(Tier::Fast);
     if free < needed {
         ctx.demote_farthest_first(needed - free, |v| {
-            (v.id != t).then(|| profile.next_use(v.id, current_layer).unwrap_or(usize::MAX))
+            (v.id != t).then(|| schedule.next_use(v.id, current_layer).unwrap_or(usize::MAX))
         });
     }
     match ctx.migrate_tensor_urgent(t, Tier::Fast) {
@@ -158,11 +142,12 @@ mod tests {
     #[test]
     fn next_and_last_use() {
         let g = ModelZoo::build(&ModelSpec::resnet(20, 2).with_scale(8)).unwrap();
-        let p = StaticProfile::new(&g);
+        let s = Schedule::new(&g);
         let act = g.tensors().iter().find(|t| t.name == "s0b0/a1").unwrap();
-        let first = p.ref_layers[act.id.index()][0];
-        assert_eq!(p.next_use(act.id, 0), Some(first));
-        assert!(p.last_use(act.id).unwrap() > first);
-        assert_eq!(p.next_use(act.id, p.last_use(act.id).unwrap() + 1), None);
+        let layers = s.layers_of(act.id);
+        let (first, last) = (layers[0], *layers.last().unwrap());
+        assert_eq!(s.next_use(act.id, 0), Some(first));
+        assert!(last > first);
+        assert_eq!(s.next_use(act.id, last + 1), None);
     }
 }

@@ -10,9 +10,9 @@
 //! rather than memory minimization, so it swaps less aggressively than
 //! Sentinel.
 
-use crate::common::{ensure_resident_sync, StaticProfile};
+use crate::common::ensure_resident_sync;
 use sentinel_util::{Pool, Rng};
-use sentinel_dnn::{ExecCtx, Graph, MemoryManager, TensorId};
+use sentinel_dnn::{ExecCtx, Graph, MemoryManager, Schedule, TensorId};
 use sentinel_mem::{AccessKind, Tier};
 
 const POPULATION: usize = 16;
@@ -36,7 +36,7 @@ pub struct SwapAdvisor {
     /// Chosen plan: per candidate, swap or not.
     plan: Vec<bool>,
     swap: Vec<bool>,
-    profile: Option<StaticProfile>,
+    schedule: Schedule,
     current_layer: usize,
 }
 
@@ -57,13 +57,13 @@ impl SwapAdvisor {
     /// fan-out, so the chosen plan is identical at any worker count.
     #[must_use]
     pub fn plan_for_with_pool(graph: &Graph, fast_bytes: u64, bw: f64, pool: Pool) -> Self {
-        let profile = StaticProfile::new(graph);
+        let schedule = Schedule::new(graph);
         let candidates: Vec<Candidate> = graph
             .tensors()
             .iter()
             .filter(|t| !t.is_short_lived() && !t.preallocated())
             .filter_map(|t| {
-                let layers = &profile.ref_layers[t.id.index()];
+                let layers = schedule.layers_of(t.id);
                 let (first, last) = (*layers.first()?, *layers.last()?);
                 // Worth swapping only with a real gap and at least a page.
                 (last > first + 2 && t.bytes >= 4096).then_some(Candidate {
@@ -82,7 +82,7 @@ impl SwapAdvisor {
                 swap[c.t.index()] = true;
             }
         }
-        SwapAdvisor { candidates, plan, swap, profile: Some(profile), current_layer: 0 }
+        SwapAdvisor { candidates, plan, swap, schedule, current_layer: 0 }
     }
 
     /// Number of tensors the plan swaps.
@@ -192,12 +192,11 @@ impl MemoryManager for SwapAdvisor {
     fn before_layer(&mut self, layer: usize, ctx: &mut ExecCtx<'_>) {
         self.current_layer = layer;
         // Swap-in two layers ahead of the backward use.
-        let Some(profile) = self.profile.as_ref() else { return };
         let movers: Vec<TensorId> = (0..self.swap.len())
             .filter(|&i| self.swap[i])
             .map(|i| TensorId(i as u32))
             .filter(|&t| ctx.is_live(t) && ctx.tensor_bytes_in(t, Tier::Slow) > 0)
-            .filter(|&t| matches!(profile.next_use(t, layer), Some(n) if n <= layer + 2))
+            .filter(|&t| matches!(self.schedule.next_use(t, layer), Some(n) if n <= layer + 2))
             .collect();
         for t in movers {
             let _ = ctx.migrate_tensor(t, Tier::Fast);
@@ -207,7 +206,6 @@ impl MemoryManager for SwapAdvisor {
     fn after_layer(&mut self, layer: usize, ctx: &mut ExecCtx<'_>) {
         // Swap-out inside the gap — but never within the swap-in horizon,
         // which would undo the incoming transfer.
-        let profile = self.profile.as_ref().expect("profiled at construction");
         let victims: Vec<TensorId> = self
             .candidates
             .iter()
@@ -216,7 +214,7 @@ impl MemoryManager for SwapAdvisor {
             .map(|(c, _)| c)
             .filter(|c| layer >= c.first && layer + 1 < c.last)
             .map(|c| c.t)
-            .filter(|&t| matches!(profile.next_use(t, layer + 1), Some(n) if n > layer + 3) || profile.next_use(t, layer + 1).is_none())
+            .filter(|&t| self.schedule.next_use(t, layer + 1).is_none_or(|n| n > layer + 3))
             .filter(|&t| ctx.is_live(t) && ctx.tensor_bytes_in(t, Tier::Fast) > 0)
             .collect();
         for t in victims {
@@ -238,9 +236,7 @@ impl MemoryManager for SwapAdvisor {
             }
         }
         if ctx.tensor_bytes_in(tensor, Tier::Slow) > 0 {
-            if let Some(profile) = self.profile.as_ref() {
-                ensure_resident_sync(ctx, tensor, profile, self.current_layer);
-            }
+            ensure_resident_sync(ctx, tensor, &self.schedule, self.current_layer);
         }
     }
 }

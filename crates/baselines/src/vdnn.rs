@@ -7,15 +7,15 @@
 //! convolutions (LSTM, BERT), and (b) it ignores per-layer time differences,
 //! so prefetches are frequently late and the copy is exposed.
 
-use crate::common::{conv_input_activations, ensure_resident_sync, has_conv, StaticProfile};
-use sentinel_dnn::{ExecCtx, Graph, MemoryManager, TensorId};
+use crate::common::{conv_input_activations, ensure_resident_sync, has_conv};
+use sentinel_dnn::{ExecCtx, Graph, MemoryManager, Schedule, TensorId};
 use sentinel_mem::{AccessKind, Tier};
 
 /// The vDNN baseline policy.
 #[derive(Debug)]
 pub struct Vdnn {
     offload: Vec<bool>,
-    profile: Option<StaticProfile>,
+    schedule: Option<Schedule>,
     current_layer: usize,
 }
 
@@ -31,7 +31,7 @@ impl Vdnn {
         for t in conv_input_activations(graph) {
             offload[t.index()] = true;
         }
-        Some(Vdnn { offload, profile: None, current_layer: 0 })
+        Some(Vdnn { offload, schedule: None, current_layer: 0 })
     }
 }
 
@@ -41,19 +41,19 @@ impl MemoryManager for Vdnn {
     }
 
     fn on_train_begin(&mut self, ctx: &mut ExecCtx<'_>) {
-        self.profile = Some(StaticProfile::new(ctx.graph()));
+        self.schedule = Some(Schedule::new(ctx.graph()));
     }
 
     fn before_layer(&mut self, layer: usize, ctx: &mut ExecCtx<'_>) {
         self.current_layer = layer;
         // Prefetch offloaded inputs used in the *next* layer (fixed one-layer
         // lookahead, no performance model).
-        let Some(profile) = self.profile.as_ref() else { return };
+        let Some(schedule) = self.schedule.as_ref() else { return };
         let candidates: Vec<TensorId> = (0..self.offload.len())
             .filter(|&i| self.offload[i])
             .map(|i| TensorId(i as u32))
             .filter(|&t| ctx.is_live(t) && ctx.tensor_bytes_in(t, Tier::Slow) > 0)
-            .filter(|&t| profile.next_use(t, layer) == Some(layer + 1))
+            .filter(|&t| schedule.next_use(t, layer) == Some(layer + 1))
             .collect();
         for t in candidates {
             let _ = ctx.migrate_tensor(t, Tier::Fast); // asynchronous
@@ -62,12 +62,12 @@ impl MemoryManager for Vdnn {
 
     fn after_layer(&mut self, layer: usize, ctx: &mut ExecCtx<'_>) {
         // Offload conv inputs no longer needed by the next layer.
-        let Some(profile) = self.profile.as_ref() else { return };
+        let Some(schedule) = self.schedule.as_ref() else { return };
         let victims: Vec<TensorId> = (0..self.offload.len())
             .filter(|&i| self.offload[i])
             .map(|i| TensorId(i as u32))
             .filter(|&t| ctx.is_live(t) && ctx.tensor_bytes_in(t, Tier::Fast) > 0)
-            .filter(|&t| match profile.next_use(t, layer + 1) {
+            .filter(|&t| match schedule.next_use(t, layer + 1) {
                 None => true,
                 Some(n) => n > layer + 3,
             })
@@ -88,8 +88,8 @@ impl MemoryManager for Vdnn {
                     }
                 }
             }
-            if let Some(profile) = self.profile.as_ref() {
-                ensure_resident_sync(ctx, tensor, profile, self.current_layer);
+            if let Some(schedule) = self.schedule.as_ref() {
+                ensure_resident_sync(ctx, tensor, schedule, self.current_layer);
             }
         }
     }

@@ -74,13 +74,12 @@ pub enum QuotaPolicy {
 }
 
 /// Cluster-wide configuration: the shared platform plus scheduling policy.
+/// Every tenant runs Sentinel with [`SentinelConfig::default`].
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// The fleet platform. `hm.fast.capacity_bytes` is the *shared* fleet
     /// fast-tier capacity every quota is carved from.
     pub hm: HmConfig,
-    /// Sentinel configuration applied to every tenant.
-    pub sentinel: SentinelConfig,
     /// Fairness policy dividing fast-tier pages between tenants.
     pub quota: QuotaPolicy,
     /// Minimum fraction of a job's fast-tier demand that must be
@@ -100,7 +99,6 @@ impl ClusterConfig {
     pub fn new(hm: HmConfig) -> Self {
         ClusterConfig {
             hm,
-            sentinel: SentinelConfig::default(),
             quota: QuotaPolicy::WeightedMaxMin,
             min_quota_frac: 0.1,
             lane_shares: true,
@@ -125,13 +123,6 @@ impl ClusterConfig {
     #[must_use]
     pub fn with_lane_shares(mut self, on: bool) -> Self {
         self.lane_shares = on;
-        self
-    }
-
-    /// Replace the Sentinel configuration applied to every tenant.
-    #[must_use]
-    pub fn with_sentinel(mut self, sentinel: SentinelConfig) -> Self {
-        self.sentinel = sentinel;
         self
     }
 }
@@ -463,8 +454,7 @@ struct ActiveJob<'g> {
     policy: SentinelPolicy,
     /// Cluster time of the tenant's local clock zero (its admission time).
     offset: Ns,
-    steps_done: usize,
-    step_ns: Vec<Ns>,
+    /// One step report per completed step, in order.
     report: TrainReport,
     /// Applied fast-tier quota (pages) — what the memory system enforces.
     applied_quota: u64,
@@ -812,7 +802,7 @@ impl<'a, 'g> Run<'a, 'g> {
             mem.set_fast_quota_pages(Some(quota));
         }
         let exec = Executor::new(spec.graph, mem);
-        let policy = SentinelPolicy::new(self.cfg.sentinel.clone());
+        let policy = SentinelPolicy::new(SentinelConfig::default());
         let report = TrainReport {
             model: spec.graph.name().to_owned(),
             policy: policy.name().to_owned(),
@@ -823,8 +813,6 @@ impl<'a, 'g> Run<'a, 'g> {
             exec,
             policy,
             offset: now,
-            steps_done: 0,
-            step_ns: Vec::new(),
             report,
             applied_quota: quota,
             pending_quota: quota,
@@ -847,11 +835,9 @@ impl<'a, 'g> Run<'a, 'g> {
         let Slot::Active(a) = &mut self.slots[job] else {
             unreachable!("stepping an inactive job")
         };
-        let step = a.steps_done;
+        let step = a.report.steps.len();
         let sr = a.exec.run_step(&mut a.policy)?;
-        a.step_ns.push(sr.duration_ns);
         a.report.steps.push(sr);
-        a.steps_done += 1;
         let end = a.offset + a.exec.ctx().now();
         self.schedule(end, Due::StepEnd { job, step });
         Ok(())
@@ -862,12 +848,12 @@ impl<'a, 'g> Run<'a, 'g> {
             let Slot::Active(a) = &self.slots[job] else {
                 unreachable!("step end for an inactive job")
             };
-            a.step_ns[step]
+            a.report.steps[step].duration_ns
         };
         self.log(now, job, ClusterEventKind::StepEnd { step, duration_ns });
         let finished = {
             let Slot::Active(a) = &self.slots[job] else { unreachable!() };
-            a.steps_done >= self.jobs[job].steps
+            a.report.steps.len() >= self.jobs[job].steps
         };
         if finished {
             self.complete(now, job)?;
@@ -958,7 +944,8 @@ impl<'a, 'g> Run<'a, 'g> {
             return Err(SentinelError::Invariant { detail: detail.to_string() });
         }
         let fault = a.exec.ctx().mem().fault_counters();
-        let mut sorted = a.step_ns.clone();
+        let step_ns: Vec<Ns> = a.report.steps.iter().map(|s| s.duration_ns).collect();
+        let mut sorted = step_ns.clone();
         sorted.sort_unstable();
         let spec = &self.jobs[job];
         let report = TenantReport {
@@ -970,10 +957,10 @@ impl<'a, 'g> Run<'a, 'g> {
             admitted_ns: Some(a.admitted_ns),
             completed_ns: Some(now),
             wait_ns: a.admitted_ns - spec.arrival_ns,
-            steps: a.steps_done,
+            steps: a.report.steps.len(),
             p50_step_ns: percentile_ns(&sorted, 50),
             p99_step_ns: percentile_ns(&sorted, 99),
-            step_ns: a.step_ns,
+            step_ns,
             evictions: a.evictions,
             evicted_pages: a.evicted_pages,
             quota_breaches: a.breaches,

@@ -19,8 +19,7 @@
 //! `crates/core/tests/planner_equivalence_prop.rs` holds them equal.
 
 use crate::error::SentinelError;
-use crate::schedule::Schedule;
-use sentinel_dnn::Graph;
+use sentinel_dnn::{Graph, Schedule};
 use sentinel_mem::Ns;
 use sentinel_profiler::ProfileReport;
 

@@ -19,8 +19,9 @@
 //!   [`solve_mil_reference`], pinned byte-identical by the
 //!   planner-equivalence suite).
 //! * [`Schedule`] — the static per-layer access index the migration engine
-//!   plans against, stored as flattened CSR arrays, and the plan-time
-//!   per-interval working-set table ([`IntervalSets`]).
+//!   plans against, stored as flattened CSR arrays (defined in
+//!   `sentinel-dnn`, next to the graph it indexes, and re-exported here),
+//!   and the plan-time per-interval working-set table ([`IntervalSets`]).
 //! * [`SentinelConfig`] — feature switches, including the Figure 13
 //!   ablations ([`Ablation`]) and the GPU variant (Section V).
 //! * [`SentinelRuntime`] — one-call orchestration: profile, reorganize,
@@ -55,4 +56,5 @@ pub use interval::{solve_mil, solve_mil_reference, IntervalPlan, MilCandidate, M
 pub use policy::{EvictedTensor, SentinelPolicy, SentinelStats};
 pub use reorg::{HotClass, ReorgPlan};
 pub use runtime::{fast_sized_for, RunEvent, SentinelOutcome, SentinelRuntime};
-pub use schedule::{IntervalSets, Schedule};
+pub use schedule::IntervalSets;
+pub use sentinel_dnn::Schedule;

@@ -14,8 +14,8 @@ use crate::config::{Case3Policy, SentinelConfig};
 use crate::error::SentinelError;
 use crate::interval::{solve_mil, IntervalPlan, MilSolution};
 use crate::reorg::ReorgPlan;
-use crate::schedule::{IntervalSets, Schedule};
-use sentinel_dnn::{ExecCtx, IntervalRecord, MemoryManager, PoolSpec, Tensor, TensorId};
+use crate::schedule::IntervalSets;
+use sentinel_dnn::{ExecCtx, IntervalRecord, MemoryManager, PoolSpec, Schedule, Tensor, TensorId};
 use sentinel_mem::{pages_for_bytes, Ns, PageRange, SanitizerMode, Tier, TraceTrack};
 use sentinel_profiler::{ProfileReport, ProfilingPolicy, TensorDelta};
 use sentinel_util::Json;
@@ -127,7 +127,6 @@ pub struct SentinelPolicy {
     /// together with `plan`.
     interval_sets: Option<IntervalSets>,
     mil_solution: Option<MilSolution>,
-    reserve_pages: u64,
     live_short_bytes: u64,
     /// Per-tensor flag: a short-lived tensor allocated entirely in fast
     /// memory, which the policy promises never to migrate (paper: the
@@ -175,7 +174,6 @@ impl SentinelPolicy {
             plan: None,
             interval_sets: None,
             mil_solution: None,
-            reserve_pages: 0,
             live_short_bytes: 0,
             short_fast: Vec::new(),
             violation: None,
@@ -233,7 +231,7 @@ impl SentinelPolicy {
 
     fn free_for_long_pages(&self, ctx: &ExecCtx<'_>) -> u64 {
         let live_short_pages = pages_for_bytes(self.live_short_bytes, ctx.mem().page_size());
-        let reserve_unused = self.reserve_pages.saturating_sub(live_short_pages);
+        let reserve_unused = self.stats.reserve_pages.saturating_sub(live_short_pages);
         ctx.mem().free_pages(Tier::Fast).saturating_sub(reserve_unused)
     }
 
@@ -576,7 +574,7 @@ impl SentinelPolicy {
         let schedule = Schedule::new(graph);
         let page_size = ctx.mem().page_size();
         let fast_bytes = ctx.mem().config().fast.capacity_bytes;
-        self.reserve_pages = if self.cfg.reserve_short_lived {
+        self.stats.reserve_pages = if self.cfg.reserve_short_lived {
             // The reservation is reused as short-lived tensors come and go
             // (Section IV-C), so it only needs the peak *concurrent*
             // short-lived footprint, plus page-rounding headroom; clamped to
@@ -586,7 +584,7 @@ impl SentinelPolicy {
         } else {
             0
         };
-        let reserve_bytes = self.reserve_pages * page_size;
+        let reserve_bytes = self.stats.reserve_pages * page_size;
 
         let solution = match solve_mil(
             graph,
@@ -609,7 +607,6 @@ impl SentinelPolicy {
         self.profile = Some(profile);
         self.schedule = Some(schedule);
         self.install_plan(solution, graph.num_layers());
-        self.stats.reserve_pages = self.reserve_pages;
         self.stats.profiling_steps = self.cfg.profile_warmup as u64 + 1;
 
         // GPU mode: synchronize the pinned-memory profiling copies with the
@@ -780,8 +777,8 @@ impl SentinelPolicy {
         // no-op (the initial reserve is already at most half the tier).
         let page_size = ctx.mem().page_size();
         let fast_bytes = ctx.mem().effective_fast_capacity_bytes();
-        self.reserve_pages = self.reserve_pages.min(pages_for_bytes(fast_bytes, page_size) / 2);
-        let reserve_bytes = self.reserve_pages * page_size;
+        self.stats.reserve_pages = self.stats.reserve_pages.min(pages_for_bytes(fast_bytes, page_size) / 2);
+        let reserve_bytes = self.stats.reserve_pages * page_size;
         let bw = ctx.mem().effective_promote_bw_bytes_per_ns();
         let force_zero = self.adapt.as_ref().is_some_and(|a| a.cfg.force_zero_budget);
         let solved = if force_zero {
@@ -934,7 +931,7 @@ impl MemoryManager for SentinelPolicy {
         if let Some(adapt) = self.adapt.as_mut() {
             if let Some(obs) = adapt.observing.as_mut() {
                 if let Some(range) = obs.ranges.remove(&tensor) {
-                    let faults = ctx.mem().profiler().map_or(0, |p| p.map().count_range(range));
+                    let faults = ctx.mem().profiler().map_or(0, |p| p.count_range(range));
                     obs.finalized.insert(tensor, (faults, range.count));
                 }
             }

@@ -7,7 +7,9 @@
 //! `AdaptConfig`, layered on the same mid-run capacity-loss scenario the
 //! bench `adaptive` experiment uses.
 
-use sentinel_core::{fast_sized_for, AdaptConfig, AdaptReport, SentinelConfig, SentinelPolicy};
+use sentinel_core::{
+    fast_sized_for, AdaptConfig, AdaptReport, SentinelConfig, SentinelPolicy, SentinelStats,
+};
 use sentinel_dnn::{Executor, StepReport};
 use sentinel_mem::{HmConfig, MemorySystem};
 use sentinel_models::{ModelSpec, ModelZoo};
@@ -15,9 +17,18 @@ use sentinel_models::{ModelSpec, ModelZoo};
 const PRE_STEPS: usize = 6;
 const TOTAL_STEPS: usize = 16;
 
+/// What one capacity-loss run leaves behind.
+struct Run {
+    reports: Vec<StepReport>,
+    adapt: AdaptReport,
+    stats: SentinelStats,
+    /// The fast-tier quota imposed from step `PRE_STEPS` on.
+    quota_pages: u64,
+}
+
 /// Drive the capacity-loss scenario with the given adaptive tuning and
-/// return every step report plus the final adaptation report.
-fn drive(adapt: AdaptConfig) -> (Vec<StepReport>, AdaptReport) {
+/// return every step report, the final adaptation report and counters.
+fn drive(adapt: AdaptConfig) -> Run {
     let spec = ModelSpec::resnet(32, 64).with_scale(4);
     let graph = ModelZoo::build(&spec).unwrap();
     let hm = fast_sized_for(HmConfig::optane_like(), &graph, 0.2);
@@ -36,7 +47,7 @@ fn drive(adapt: AdaptConfig) -> (Vec<StepReport>, AdaptReport) {
     assert!(policy.take_solver_error().is_none(), "no solver error may escape");
     assert!(policy.violation().is_none(), "no residency violation");
     let adapt = policy.adapt_report().cloned().expect("adaptive loop was on");
-    (reports, adapt)
+    Run { reports, adapt, stats: policy.stats(), quota_pages }
 }
 
 /// Collect every warning surfaced through the step reports.
@@ -46,17 +57,20 @@ fn step_warnings(reports: &[StepReport]) -> Vec<String> {
 
 #[test]
 fn healthy_loop_recovers_without_warnings() {
-    let (reports, adapt) = drive(AdaptConfig::default());
+    let Run { reports, adapt, stats, quota_pages } = drive(AdaptConfig::default());
     assert_eq!(reports.len(), TOTAL_STEPS);
     assert!(adapt.drift_events >= 1);
     assert_eq!(adapt.resolves, 1, "{adapt:?}");
     assert_eq!(adapt.degraded_tensors, 0, "{adapt:?}");
     assert!(step_warnings(&reports).is_empty(), "clean recovery raises no warnings");
+    // The initial reservation is clamped to half the full tier; the re-solve
+    // clamps it to half the quota, and the counters report the one in force.
+    assert_eq!(stats.reserve_pages, quota_pages / 2, "{stats:?}");
 }
 
 #[test]
 fn forced_reprofile_fault_degrades_to_demand_paging_and_survives() {
-    let (reports, adapt) =
+    let Run { reports, adapt, .. } =
         drive(AdaptConfig { force_reprofile_fault: true, ..AdaptConfig::default() });
     assert_eq!(reports.len(), TOTAL_STEPS, "the run stays alive on the old plan");
     assert!(adapt.drift_events >= 1, "{adapt:?}");
@@ -73,7 +87,8 @@ fn forced_reprofile_fault_degrades_to_demand_paging_and_survives() {
 
 #[test]
 fn forced_zero_budget_resolve_keeps_the_old_plan_and_survives() {
-    let (reports, adapt) = drive(AdaptConfig { force_zero_budget: true, ..AdaptConfig::default() });
+    let Run { reports, adapt, .. } =
+        drive(AdaptConfig { force_zero_budget: true, ..AdaptConfig::default() });
     assert_eq!(reports.len(), TOTAL_STEPS, "the run stays alive on the old plan");
     assert!(adapt.observation_steps >= 1, "the observation step itself succeeded: {adapt:?}");
     assert_eq!(adapt.resolves, 0, "a zero-budget solve must not swap a plan in");
@@ -88,7 +103,7 @@ fn forced_zero_budget_resolve_keeps_the_old_plan_and_survives() {
 
 #[test]
 fn resolve_budget_exhaustion_latches_a_warning_instead_of_oscillating() {
-    let (reports, adapt) =
+    let Run { reports, adapt, .. } =
         drive(AdaptConfig { max_resolves_per_run: 0, ..AdaptConfig::default() });
     assert_eq!(reports.len(), TOTAL_STEPS);
     assert!(adapt.drift_events >= 1, "{adapt:?}");

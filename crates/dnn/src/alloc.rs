@@ -1,4 +1,5 @@
-//! Pooled virtual-memory allocator with page-tenancy tracking.
+//! Pooled virtual-memory allocator whose free lists say which pages an
+//! allocation populates or empties.
 //!
 //! Tensors are allocated from named *pools*. Each pool owns disjoint virtual
 //! pages, so pages are never shared across pools — this is the mechanism
@@ -9,6 +10,14 @@
 //! the page-level false sharing the paper characterizes; a *page-aligned*
 //! pool rounds every allocation to whole pages, which is what the profiling
 //! phase uses so page counts become tensor counts.
+//!
+//! Page occupancy is read from the free lists rather than counted per page.
+//! A pool grows only by reserving fresh whole pages, and its free list is
+//! sorted and coalesced, so a page of the pool is empty exactly when it lies
+//! wholly inside one free block. Carving an allocation out of a free block
+//! therefore populates the allocation's pages that lay wholly inside that
+//! block, and freeing one empties its pages that lie wholly inside the
+//! coalesced block it rejoins: each is one contiguous range.
 
 use sentinel_mem::{pages_for_bytes, MemorySystem, PageRange};
 use std::collections::HashMap;
@@ -57,14 +66,20 @@ pub struct Allocation {
     /// Pages covered by the allocation (may be shared with other tensors).
     pub pages: PageRange,
     /// Pages that became populated *because of* this allocation — the caller
-    /// must map them into a tier.
-    pub new_pages: Vec<PageRange>,
+    /// must map them into a tier. Empty when every page already had a tenant.
+    pub new_pages: PageRange,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Block {
     addr: u64,
     bytes: u64,
+}
+
+impl Block {
+    fn end(self) -> u64 {
+        self.addr + self.bytes
+    }
 }
 
 #[derive(Debug, Default)]
@@ -74,8 +89,9 @@ struct Pool {
 }
 
 impl Pool {
-    /// First-fit allocation; returns the block address or `None`.
-    fn take(&mut self, bytes: u64) -> Option<u64> {
+    /// First-fit allocation of `bytes` from the start of a free block;
+    /// returns that block as it was before the carve, or `None`.
+    fn take(&mut self, bytes: u64) -> Option<Block> {
         let idx = self.free.iter().position(|b| b.bytes >= bytes)?;
         let block = self.free[idx];
         if block.bytes == bytes {
@@ -83,22 +99,34 @@ impl Pool {
         } else {
             self.free[idx] = Block { addr: block.addr + bytes, bytes: block.bytes - bytes };
         }
-        Some(block.addr)
+        Some(block)
     }
 
-    /// Return a block, coalescing with address-adjacent neighbours.
-    fn give(&mut self, mut block: Block) {
+    /// Return a block, coalescing with address-adjacent neighbours; returns
+    /// the coalesced free block that now holds it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block overlaps a free neighbour (a double free).
+    fn give(&mut self, block: Block) -> Block {
         let pos = self.free.partition_point(|b| b.addr < block.addr);
-        // Merge with next.
-        if pos < self.free.len() && block.addr + block.bytes == self.free[pos].addr {
-            block.bytes += self.free[pos].bytes;
-            self.free.remove(pos);
+        let prev_end = pos.checked_sub(1).map(|i| self.free[i].end());
+        let next_addr = self.free.get(pos).map(|b| b.addr);
+        assert!(
+            prev_end.is_none_or(|end| end <= block.addr) && next_addr.is_none_or(|addr| block.end() <= addr),
+            "double free: {block:?} overlaps a free block"
+        );
+        let mut merged = block;
+        if next_addr == Some(block.end()) {
+            merged.bytes += self.free.remove(pos).bytes;
         }
-        // Merge with previous.
-        if pos > 0 && self.free[pos - 1].addr + self.free[pos - 1].bytes == block.addr {
-            self.free[pos - 1].bytes += block.bytes;
+        if prev_end == Some(block.addr) {
+            let prev = &mut self.free[pos - 1];
+            prev.bytes += merged.bytes;
+            *prev
         } else {
-            self.free.insert(pos, block);
+            self.free.insert(pos, merged);
+            merged
         }
     }
 }
@@ -110,8 +138,6 @@ pub struct SegmentAllocator {
     /// Pages reserved per growth step of a pool.
     chunk_pages: u64,
     pools: HashMap<u64, Pool>,
-    /// Per-virtual-page tenant counts (grown on demand).
-    tenancy: Vec<u32>,
     live_bytes: u64,
     peak_live_bytes: u64,
 }
@@ -124,7 +150,6 @@ impl SegmentAllocator {
             page_size,
             chunk_pages: 256,
             pools: HashMap::new(),
-            tenancy: Vec::new(),
             live_bytes: 0,
             peak_live_bytes: 0,
         }
@@ -141,34 +166,35 @@ impl SegmentAllocator {
         let align = if spec.page_aligned { self.page_size } else { PACKED_ALIGN };
         let size = bytes.div_ceil(align) * align;
 
-        let addr = {
-            let pool = self.pools.entry(spec.key).or_default();
-            match pool.take(size) {
-                Some(addr) => addr,
-                None => {
-                    let grow_pages = pages_for_bytes(size, self.page_size).max(self.chunk_pages);
-                    let range = mem.reserve(grow_pages);
-                    let pool = self.pools.entry(spec.key).or_default();
-                    pool.give(Block { addr: range.first * self.page_size, bytes: grow_pages * self.page_size });
-                    pool.take(size).expect("fresh chunk satisfies allocation")
-                }
+        let pool = self.pools.entry(spec.key).or_default();
+        let block = match pool.take(size) {
+            Some(block) => block,
+            None => {
+                let grow_pages = pages_for_bytes(size, self.page_size).max(self.chunk_pages);
+                let range = mem.reserve(grow_pages);
+                pool.give(Block { addr: range.first * self.page_size, bytes: grow_pages * self.page_size });
+                pool.take(size).expect("fresh chunk satisfies allocation")
             }
         };
 
-        let pages = self.pages_covering(addr, size);
-        let new_pages = self.adjust_tenancy(pages, 1);
+        let pages = self.pages_covering(block.addr, size);
+        let new_pages = self.pages_inside(pages, block);
         self.live_bytes += size;
         self.peak_live_bytes = self.peak_live_bytes.max(self.live_bytes);
-        Allocation { pool: spec.key, addr, bytes: size, pages, new_pages }
+        Allocation { pool: spec.key, addr: block.addr, bytes: size, pages, new_pages }
     }
 
-    /// Release an allocation; returns the page ranges that became empty and
-    /// must be unmapped by the caller.
-    pub fn free(&mut self, allocation: &Allocation) -> Vec<PageRange> {
-        let pool = self.pools.entry(allocation.pool).or_default();
-        pool.give(Block { addr: allocation.addr, bytes: allocation.bytes });
+    /// Release an allocation; returns the pages that became empty and must
+    /// be unmapped by the caller (empty when every page keeps a tenant).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the allocation was already freed.
+    pub fn free(&mut self, allocation: &Allocation) -> PageRange {
+        let pool = self.pools.get_mut(&allocation.pool).expect("freed allocation's pool exists");
+        let coalesced = pool.give(Block { addr: allocation.addr, bytes: allocation.bytes });
         self.live_bytes -= allocation.bytes;
-        self.adjust_tenancy(allocation.pages, -1)
+        self.pages_inside(allocation.pages, coalesced)
     }
 
     /// Pages covered by a byte span.
@@ -178,43 +204,20 @@ impl SegmentAllocator {
         PageRange::new(first, last - first + 1)
     }
 
-    /// Bump tenancy by ±1 over a range; returns ranges transitioning
-    /// (0→1 on alloc, 1→0 on free), contiguified.
-    fn adjust_tenancy(&mut self, pages: PageRange, delta: i32) -> Vec<PageRange> {
-        if pages.end() as usize > self.tenancy.len() {
-            self.tenancy.resize(pages.end() as usize, 0);
+    /// The pages of `pages` that lie wholly inside the free block `block`,
+    /// or the empty range. For the block an allocation was carved from, or
+    /// the coalesced block it rejoined, these are exactly the allocation's
+    /// pages with no other tenant: its interior pages are its own, and since
+    /// pools reserve whole pages, an edge page reaching past the block holds
+    /// another tenant's bytes.
+    fn pages_inside(&self, pages: PageRange, block: Block) -> PageRange {
+        let first = pages.first.max(block.addr.div_ceil(self.page_size));
+        let end = pages.end().min(block.end() / self.page_size);
+        if first < end {
+            PageRange::new(first, end - first)
+        } else {
+            PageRange::empty()
         }
-        let mut transitions = Vec::new();
-        let mut start: Option<u64> = None;
-        for p in pages.iter() {
-            let slot = &mut self.tenancy[p as usize];
-            let transitioned = if delta > 0 {
-                *slot += 1;
-                *slot == 1
-            } else {
-                assert!(*slot > 0, "tenancy underflow on page {p}");
-                *slot -= 1;
-                *slot == 0
-            };
-            match (transitioned, start) {
-                (true, None) => start = Some(p),
-                (false, Some(s)) => {
-                    transitions.push(PageRange::new(s, p - s));
-                    start = None;
-                }
-                _ => {}
-            }
-        }
-        if let Some(s) = start {
-            transitions.push(PageRange::new(s, pages.end() - s));
-        }
-        transitions
-    }
-
-    /// Number of tensors currently sharing `page` (zero if empty).
-    #[must_use]
-    pub fn tenants(&self, page: u64) -> u32 {
-        self.tenancy.get(page as usize).copied().unwrap_or(0)
     }
 
     /// Live allocated bytes (after rounding).
@@ -227,12 +230,6 @@ impl SegmentAllocator {
     #[must_use]
     pub fn peak_live_bytes(&self) -> u64 {
         self.peak_live_bytes
-    }
-
-    /// Pages currently populated (tenancy > 0).
-    #[must_use]
-    pub fn populated_pages(&self) -> u64 {
-        self.tenancy.iter().filter(|&&c| c > 0).count() as u64
     }
 }
 
@@ -253,9 +250,8 @@ mod tests {
         let x = a.alloc(&mut mem, spec, 1000);
         let y = a.alloc(&mut mem, spec, 1000);
         assert_eq!(x.pages, y.pages, "two small tensors land on the same page");
-        assert_eq!(x.new_pages.len(), 1);
+        assert_eq!(x.new_pages, x.pages);
         assert!(y.new_pages.is_empty(), "second tenant maps no new pages");
-        assert_eq!(a.tenants(x.pages.first), 2);
     }
 
     #[test]
@@ -266,7 +262,7 @@ mod tests {
         let y = a.alloc(&mut mem, spec, 100);
         assert!(!x.pages.overlaps(&y.pages));
         assert_eq!(x.bytes, 4096);
-        assert_eq!(a.tenants(x.pages.first), 1);
+        assert_eq!(y.new_pages, y.pages, "each tensor populates its own page");
     }
 
     #[test]
@@ -283,7 +279,7 @@ mod tests {
         let spec = PoolSpec::default_packed();
         let x = a.alloc(&mut mem, spec, 8192);
         let unmap = a.free(&x);
-        assert_eq!(unmap, vec![x.pages]);
+        assert_eq!(unmap, x.pages);
         let y = a.alloc(&mut mem, spec, 8192);
         assert_eq!(y.addr, x.addr, "first-fit reuses the freed block");
     }
@@ -295,7 +291,7 @@ mod tests {
         let x = a.alloc(&mut mem, spec, 1000);
         let y = a.alloc(&mut mem, spec, 1000);
         assert!(a.free(&x).is_empty());
-        assert_eq!(a.free(&y), vec![y.pages]);
+        assert_eq!(a.free(&y), y.pages);
     }
 
     #[test]
@@ -318,7 +314,7 @@ mod tests {
         let spec = PoolSpec::default_packed();
         let big = a.alloc(&mut mem, spec, 300 * 4096); // bigger than a chunk
         assert_eq!(big.pages.count, 300);
-        assert_eq!(big.new_pages.iter().map(|r| r.count).sum::<u64>(), 300);
+        assert_eq!(big.new_pages, big.pages);
     }
 
     #[test]
@@ -331,8 +327,7 @@ mod tests {
         a.free(&x);
         assert_eq!(a.live_bytes(), 64);
         assert_eq!(a.peak_live_bytes(), 128);
-        a.free(&y);
-        assert_eq!(a.populated_pages(), 0);
+        assert_eq!(a.free(&y), y.pages, "the last tenant's free empties the page");
     }
 
     #[test]
@@ -361,6 +356,40 @@ mod tests {
         assert!(big.addr >= a3.addr + a3.bytes || big.addr != a1.addr);
         // Freeing a2 empties page 1 only.
         let unmap = a.free(&a2);
-        assert_eq!(unmap, vec![a2.pages]);
+        assert_eq!(unmap, a2.pages);
+    }
+
+    #[test]
+    fn free_block_spanning_adjacent_chunks() {
+        let (mut a, mut mem) = setup();
+        let spec = PoolSpec::default_packed();
+        // Fill the first 256-page chunk but for a 960-byte tail on page 255.
+        let x = a.alloc(&mut mem, spec, 256 * 4096 - 1000);
+        assert_eq!(x.bytes, 256 * 4096 - 960);
+        // The tail is too small, so the pool reserves its second chunk right
+        // after the first; the tail and the new chunk coalesce into one free
+        // block that straddles the chunk boundary.
+        let y = a.alloc(&mut mem, spec, 8192);
+        assert_eq!(y.addr, x.addr + x.bytes, "carved from the straddling block");
+        assert_eq!(y.pages, PageRange::new(255, 3));
+        assert_eq!(y.new_pages, PageRange::new(256, 2), "page 255 already has x");
+        // x's free keeps page 255 (y still sits on it).
+        assert_eq!(a.free(&x), PageRange::new(0, 255));
+        // y's free rejoins both chunks into one block and empties its pages.
+        assert_eq!(a.free(&y), y.pages);
+        let whole = a.alloc(&mut mem, spec, 512 * 4096);
+        assert_eq!(whole.addr, 0, "both chunks coalesced into one block");
+        assert_eq!(whole.new_pages, whole.pages);
+    }
+
+    #[test]
+    #[should_panic(expected = "double free")]
+    fn double_free_panics() {
+        let (mut a, mut mem) = setup();
+        let spec = PoolSpec::default_packed();
+        let x = a.alloc(&mut mem, spec, 100);
+        let _y = a.alloc(&mut mem, spec, 100);
+        a.free(&x);
+        a.free(&x);
     }
 }

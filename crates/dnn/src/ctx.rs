@@ -129,18 +129,18 @@ impl<'g> ExecCtx<'g> {
         }
         let bytes = self.graph.tensor(t).bytes;
         let allocation = self.alloc.alloc(&mut self.mem, spec, bytes);
-        let new_pages: u64 = allocation.new_pages.iter().map(|r| r.count).sum();
-        if new_pages > self.mem.free_pages(tier) {
+        let new_pages = allocation.new_pages;
+        if new_pages.count > self.mem.free_pages(tier) {
             self.alloc.free(&allocation);
             return Err(MemError::CapacityExceeded {
                 tier,
-                requested_pages: new_pages,
+                requested_pages: new_pages.count,
                 free_pages: self.mem.free_pages(tier),
             }
             .into());
         }
-        for range in &allocation.new_pages {
-            self.mem.map(*range, tier, self.now)?;
+        if !new_pages.is_empty() {
+            self.mem.map(new_pages, tier, self.now)?;
         }
         self.placements[t.index()] = Some(allocation);
         Ok(())
@@ -154,8 +154,9 @@ impl<'g> ExecCtx<'g> {
     pub fn release(&mut self, t: TensorId) -> Result<(), ExecError> {
         let allocation =
             self.placements[t.index()].take().ok_or(ExecError::NotAllocated { tensor: t })?;
-        for range in self.alloc.free(&allocation) {
-            self.mem.unmap(range, self.now)?;
+        let emptied = self.alloc.free(&allocation);
+        if !emptied.is_empty() {
+            self.mem.unmap(emptied, self.now)?;
         }
         Ok(())
     }

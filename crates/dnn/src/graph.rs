@@ -149,24 +149,6 @@ impl Graph {
         self.tensors.iter().filter(|t| !t.is_short_lived()).map(|t| t.bytes).max().unwrap_or(0)
     }
 
-    /// Distinct tensors referenced by ops in the half-open layer range.
-    #[must_use]
-    pub fn tensors_used_in_layers(&self, start: usize, end: usize) -> Vec<TensorId> {
-        let mut seen = vec![false; self.tensors.len()];
-        let mut out = Vec::new();
-        for layer in self.layers.iter().take(end.min(self.layers.len())).skip(start) {
-            for op in &layer.ops {
-                for t in op.referenced() {
-                    if !seen[t.index()] {
-                        seen[t.index()] = true;
-                        out.push(t);
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// Total FLOPs of one training step.
     #[must_use]
     pub fn total_flops(&self) -> u64 {
@@ -244,12 +226,6 @@ impl GraphBuilder {
             builder: self,
             op: Op { name: name.into(), kind, flops, reads: Vec::new(), writes: Vec::new() },
         }
-    }
-
-    /// Number of layers opened so far.
-    #[must_use]
-    pub fn layers_so_far(&self) -> usize {
-        self.layers.len()
     }
 
     /// Validate and seal the graph, computing tensor live ranges.
@@ -356,13 +332,6 @@ impl<'a> OpBuilder<'a> {
         self
     }
 
-    /// Add a write operand traversed `passes` times.
-    #[must_use]
-    pub fn writes_n(mut self, tensor: TensorId, passes: u32) -> Self {
-        self.op.writes.push(Operand::with_passes(tensor, passes));
-        self
-    }
-
     /// Append the op to the current layer.
     pub fn push(self) {
         let layer = self.builder.layers.last_mut().expect("op requires an open layer");
@@ -445,15 +414,6 @@ mod tests {
         b.begin_layer("l");
         b.op("w", OpKind::Other, 1).writes(&[t]).push();
         assert!(matches!(b.finish(), Err(GraphError::ZeroSizedTensor { .. })));
-    }
-
-    #[test]
-    fn tensors_used_in_layers_dedups() {
-        let g = two_layer_graph();
-        let used = g.tensors_used_in_layers(0, 2);
-        assert_eq!(used.len(), 5);
-        let fwd_only = g.tensors_used_in_layers(0, 1);
-        assert_eq!(fwd_only.len(), 4); // w, x, tmp, act
     }
 
     #[test]

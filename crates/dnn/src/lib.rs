@@ -14,6 +14,9 @@
 //!   profiling-phase allocation where page counts become tensor counts;
 //!   pool keys let Sentinel co-allocate tensors with similar lifetime and
 //!   hotness while guaranteeing isolation between groups.
+//! * [`Schedule`] — the static reference index over one step: each tensor's
+//!   reference layers and each layer's long-lived tensors, in CSR arrays.
+//!   Sentinel (`sentinel-core`) and the baselines plan against the same one.
 //! * [`MemoryManager`] — the policy trait every memory-management system
 //!   (Sentinel and all baselines) implements.
 //! * [`Executor`] — the discrete-event training-step engine: it allocates
@@ -32,6 +35,7 @@ mod graph;
 mod manager;
 mod op;
 mod report;
+mod schedule;
 mod tensor;
 
 pub use alloc::{Allocation, PoolSpec, SegmentAllocator, PACKED_ALIGN};
@@ -42,4 +46,5 @@ pub use graph::{Graph, GraphBuilder, Layer, OpBuilder};
 pub use manager::{MemoryManager, SingleTier};
 pub use op::{Op, OpKind, Operand};
 pub use report::{IntervalRecord, StepBreakdown, StepReport, TrainReport};
+pub use schedule::Schedule;
 pub use tensor::{OpRef, Tensor, TensorId, TensorKind};

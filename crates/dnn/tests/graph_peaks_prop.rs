@@ -1,16 +1,20 @@
-//! The one-pass peak byte figures against their definitions.
+//! The one-pass peak byte figures and the count-then-fill reference index
+//! against their definitions.
 //!
 //! On random `GraphBuilder` graphs (1–12 layers of 0–4 ops, up to 30
-//! tensors of every kind, some never referenced), three identities must
-//! hold:
+//! tensors of every kind, some never referenced, some named twice by one
+//! op or layer), three identities must hold:
 //!
 //! * `peak_live_bytes` is the maximum over layers of `live_bytes_in_layer`;
 //! * `peak_short_lived_bytes` is the same maximum over short-lived tensors;
 //! * `peak_short_lived_concurrent_bytes` is the maximum, over every op in
 //!   execution order, of the bytes of the short-lived tensors whose first
 //!   referencing op is at or before it and whose last is at or after it.
+//!
+//! And every query of the graph's `Schedule` must answer what a naive
+//! per-tensor index built in the test answers.
 
-use sentinel_dnn::{Graph, GraphBuilder, OpKind, OpRef, TensorKind};
+use sentinel_dnn::{Graph, GraphBuilder, OpKind, OpRef, Schedule, TensorId, TensorKind};
 use sentinel_util::prop::{no_shrink, PropConfig};
 use sentinel_util::{prop_assert_eq, Rng};
 
@@ -140,4 +144,47 @@ fn peak_passes_match_their_definitions() {
         no_shrink(),
         peaks_match_definitions,
     );
+}
+
+/// `Schedule`'s queries against an index built the slow way: each tensor's
+/// layers from a scan of every layer, each layer's long-lived tensors from
+/// a scan of every tensor.
+fn schedule_matches_naive_index(shape: &Shape) -> Result<(), String> {
+    let g = build(shape);
+    let s = Schedule::new(&g);
+    let layers = g.num_layers();
+    let refs: Vec<Vec<usize>> = g
+        .tensors()
+        .iter()
+        .map(|t| (0..layers).filter(|&l| g.layers()[l].ops.iter().any(|op| op.referenced().any(|r| r == t.id))).collect())
+        .collect();
+    let long = |t: TensorId| !g.tensor(t).is_short_lived() && !refs[t.index()].is_empty();
+    prop_assert_eq!(s.num_layers(), layers);
+    for t in g.tensors().iter().map(|t| t.id) {
+        let mine = &refs[t.index()];
+        prop_assert_eq!(s.layers_of(t), mine.as_slice(), "layers_of({:?})", t);
+        for layer in 0..=layers + 1 {
+            let next = mine.iter().copied().find(|&l| l >= layer);
+            prop_assert_eq!(s.next_use(t, layer), next, "next_use({:?}, {})", t, layer);
+            let cyclic = mine.first().map(|&first| next.unwrap_or(first + layers));
+            prop_assert_eq!(s.next_use_cyclic(t, layer), cyclic, "next_use_cyclic({:?}, {})", t, layer);
+        }
+    }
+    for layer in 0..layers {
+        let expect: Vec<TensorId> =
+            g.tensors().iter().map(|t| t.id).filter(|&t| long(t) && refs[t.index()].contains(&layer)).collect();
+        prop_assert_eq!(s.long_tensors_in_layer(layer), expect.as_slice(), "long_tensors_in_layer({})", layer);
+    }
+    let all_long: Vec<TensorId> = g.tensors().iter().map(|t| t.id).filter(|&t| long(t)).collect();
+    prop_assert_eq!(s.long_tensor_ids(), all_long.as_slice(), "long_tensor_ids");
+    Ok(())
+}
+
+#[test]
+fn schedule_matches_a_naive_index() {
+    let mut cfg = PropConfig::from_env();
+    if std::env::var("SENTINEL_PROP_CASES").is_err() {
+        cfg = cfg.with_cases(1000);
+    }
+    cfg.run("schedule_matches_a_naive_index", gen_shape, no_shrink(), schedule_matches_naive_index);
 }

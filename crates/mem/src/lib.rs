@@ -16,10 +16,10 @@
 //!   accesses, exactly like the paper's OS-level profiling), and a
 //!   dual-channel [`MigrationEngine`] that models `move_pages()` with
 //!   bandwidth and overlap semantics.
-//! * [`PageAccessProfiler`] — the software analogue of PTE poisoning: every
-//!   main-memory access to a poisoned page raises a simulated protection
-//!   fault which is counted, charged a fault overhead, and re-poisons the
-//!   page.
+//! * [`PageAccessMap`] — the software analogue of PTE poisoning's fault
+//!   handler: every main-memory access to a poisoned page raises a
+//!   simulated protection fault, which is counted on its page in this map,
+//!   charged a fault overhead, and re-poisons the page.
 //! * [`MemoryModeCache`] — Optane "Memory Mode", where DRAM acts as a
 //!   set-associative hardware-managed cache in front of PMM (one of the
 //!   paper's baselines).
@@ -67,7 +67,7 @@ pub use error::MemError;
 pub use memmode::{MemoryModeCache, MemoryModeSpec, MemoryModeStats};
 pub use migrate::{Direction, InFlight, MigrationEngine, MigrationTicket};
 pub use page::{pages_for_bytes, PageRange, PAGE_SIZE_DEFAULT};
-pub use profiler::{PageAccessMap, PageAccessProfiler};
+pub use profiler::PageAccessMap;
 pub use stats::{BandwidthSample, MemStats, StatsTimeline};
 pub use system::{AccessKind, AccessReport, MemorySystem, SanitizerMode};
 // Re-exported so the fault hooks' types are nameable without a direct

@@ -7,9 +7,10 @@
 //! count this page access, poisons the PTE, and flushes it from TLB again to
 //! track the next page access."
 //!
-//! [`PageAccessProfiler`] is the fault handler + counter. The
-//! [`crate::MemorySystem`] raises a simulated fault for every *main-memory*
-//! access (i.e., after the cache filter) to a poisoned page, charges the
+//! [`PageAccessMap`] is the fault handler's record: one count per page,
+//! whose sum is the number of faults handled. The [`crate::MemorySystem`]
+//! raises a simulated fault for every *main-memory* access (i.e., after the
+//! cache filter) to a poisoned page, records it here, charges the
 //! configured fault overhead, and immediately re-poisons — so each counted
 //! access costs one fault, exactly like the real mechanism.
 
@@ -18,7 +19,13 @@ use crate::PageRange;
 /// Pages per block of counts in a [`PageAccessMap`].
 const BLOCK_PAGES: usize = 32;
 
-/// Per-page main-memory access counts collected during a profiling step.
+/// Per-page main-memory access counts collected during a profiling step:
+/// the simulated customized fault handler.
+///
+/// While profiling, the [`crate::MemorySystem`] routes every main-memory
+/// access to a poisoned page here. Counting is per 4 KiB page; combined
+/// with page-aligned tensor allocation this *is* tensor-level profiling
+/// (the paper's key bridging of the OS/application semantic gap).
 ///
 /// Counts live in fixed-size blocks of `BLOCK_PAGES` (32) pages, each allocated
 /// when one of its pages first faults, and are found through a directory
@@ -26,9 +33,9 @@ const BLOCK_PAGES: usize = 32;
 /// far more pages than it touches (every page-aligned pool takes a whole
 /// chunk), so the map costs the blocks the faults touch plus four bytes per
 /// block of address space, not eight bytes per page up to the highest one.
-/// The bulk [`PageAccessProfiler::record_faults`] is a `+= 1` sweep over
-/// each block's slice of the range. Two maps are equal iff they record the
-/// same count for every page.
+/// The bulk [`PageAccessMap::record_faults`] is a `+= 1` sweep over each
+/// block's slice of the range. Two maps are equal iff they record the same
+/// count for every page.
 #[derive(Debug, Clone, Default, Eq)]
 pub struct PageAccessMap {
     /// `dir[page / BLOCK_PAGES]` is one more than the index in `blocks` of
@@ -87,7 +94,7 @@ impl PageAccessMap {
         sum
     }
 
-    /// Total accesses counted.
+    /// Total accesses counted: the number of faults handled.
     #[must_use]
     pub fn total(&self) -> u64 {
         self.total
@@ -110,12 +117,15 @@ impl PageAccessMap {
         })
     }
 
-    fn bump(&mut self, page: u64) {
-        self.record_range(PageRange::new(page, 1));
+    /// Record one protection fault for `page`.
+    pub fn record_fault(&mut self, page: u64) {
+        self.record_faults(PageRange::new(page, 1));
     }
 
-    /// Add one access to every page of `range` (bulk fault recording).
-    fn record_range(&mut self, range: PageRange) {
+    /// Record one protection fault for every page of `range` — the bulk
+    /// path taken when a whole poisoned run misses the cache filter.
+    /// Equivalent to calling [`PageAccessMap::record_fault`] per page.
+    pub fn record_faults(&mut self, range: PageRange) {
         let (mut page, end) = (range.first, range.end());
         let mut touched = 0;
         while page < end {
@@ -140,59 +150,6 @@ impl PageAccessMap {
     }
 }
 
-/// The simulated customized fault handler: counts accesses to poisoned pages.
-///
-/// While enabled, the [`crate::MemorySystem`] routes every main-memory access
-/// to a poisoned page here. Counting is per 4 KiB page; combined with
-/// page-aligned tensor allocation this *is* tensor-level profiling (the
-/// paper's key bridging of the OS/application semantic gap).
-#[derive(Debug, Default, PartialEq, Eq)]
-pub struct PageAccessProfiler {
-    map: PageAccessMap,
-    faults: u64,
-}
-
-impl PageAccessProfiler {
-    /// A fresh profiler with zeroed counters.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one protection fault for `page`. Returns the running fault count.
-    pub fn record_fault(&mut self, page: u64) -> u64 {
-        self.map.bump(page);
-        self.faults += 1;
-        self.faults
-    }
-
-    /// Record one protection fault for every page of `range` — the bulk
-    /// path taken when a whole poisoned run misses the cache filter.
-    /// Equivalent to calling [`PageAccessProfiler::record_fault`] per page.
-    pub fn record_faults(&mut self, range: PageRange) {
-        self.map.record_range(range);
-        self.faults += range.count;
-    }
-
-    /// Total faults handled.
-    #[must_use]
-    pub fn faults(&self) -> u64 {
-        self.faults
-    }
-
-    /// Borrow the collected access map.
-    #[must_use]
-    pub fn map(&self) -> &PageAccessMap {
-        &self.map
-    }
-
-    /// Consume the profiler and return the access map.
-    #[must_use]
-    pub fn into_map(self) -> PageAccessMap {
-        self.map
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,25 +157,23 @@ mod tests {
 
     #[test]
     fn faults_accumulate_per_page() {
-        let mut p = PageAccessProfiler::new();
-        p.record_fault(3);
-        p.record_fault(3);
-        p.record_fault(7);
-        assert_eq!(p.map().count(3), 2);
-        assert_eq!(p.map().count(7), 1);
-        assert_eq!(p.map().count(99), 0);
-        assert_eq!(p.faults(), 3);
-        assert_eq!(p.map().total(), 3);
-        assert_eq!(p.map().touched_pages(), 2);
+        let mut map = PageAccessMap::new();
+        map.record_fault(3);
+        map.record_fault(3);
+        map.record_fault(7);
+        assert_eq!(map.count(3), 2);
+        assert_eq!(map.count(7), 1);
+        assert_eq!(map.count(99), 0);
+        assert_eq!(map.total(), 3);
+        assert_eq!(map.touched_pages(), 2);
     }
 
     #[test]
     fn range_counts_sum_member_pages() {
-        let mut p = PageAccessProfiler::new();
+        let mut map = PageAccessMap::new();
         for page in [0, 1, 1, 2, 5] {
-            p.record_fault(page);
+            map.record_fault(page);
         }
-        let map = p.into_map();
         assert_eq!(map.count_range(PageRange::new(0, 3)), 4);
         assert_eq!(map.count_range(PageRange::new(3, 2)), 0);
         assert_eq!(map.count_range(PageRange::new(5, 1)), 1);
@@ -226,18 +181,18 @@ mod tests {
 
     #[test]
     fn iter_reports_every_touched_page() {
-        let mut p = PageAccessProfiler::new();
-        p.record_fault(10);
-        p.record_fault(11);
-        let mut pages: Vec<_> = p.map().iter().map(|(pg, _)| pg).collect();
+        let mut map = PageAccessMap::new();
+        map.record_fault(10);
+        map.record_fault(11);
+        let mut pages: Vec<_> = map.iter().map(|(pg, _)| pg).collect();
         pages.sort_unstable();
         assert_eq!(pages, vec![10, 11]);
     }
 
     #[test]
     fn bulk_faults_match_per_page_faults() {
-        let mut bulk = PageAccessProfiler::new();
-        let mut per_page = PageAccessProfiler::new();
+        let mut bulk = PageAccessMap::new();
+        let mut per_page = PageAccessMap::new();
         bulk.record_faults(PageRange::new(2, 5));
         bulk.record_faults(PageRange::new(4, 2));
         bulk.record_faults(PageRange::empty());
@@ -248,27 +203,26 @@ mod tests {
             per_page.record_fault(page);
         }
         assert_eq!(bulk, per_page);
-        assert_eq!(bulk.faults(), 7);
-        assert_eq!(bulk.map().total(), 7);
-        assert_eq!(bulk.map().touched_pages(), 5);
-        assert_eq!(bulk.map().count(4), 2);
+        assert_eq!(bulk.total(), 7);
+        assert_eq!(bulk.touched_pages(), 5);
+        assert_eq!(bulk.count(4), 2);
     }
 
     #[test]
     fn map_equality_compares_counts_not_capacity() {
-        let mut a = PageAccessProfiler::new();
-        let mut b = PageAccessProfiler::new();
+        let mut a = PageAccessMap::new();
+        let mut b = PageAccessMap::new();
         a.record_fault(1);
         b.record_fault(1);
-        assert_eq!(a.map(), b.map());
+        assert_eq!(a, b);
         // Different recording order, same counts.
-        let mut c = PageAccessProfiler::new();
+        let mut c = PageAccessMap::new();
         c.record_faults(PageRange::new(0, 4));
-        let mut d = PageAccessProfiler::new();
+        let mut d = PageAccessMap::new();
         for page in [3, 1, 0, 2] {
             d.record_fault(page);
         }
-        assert_eq!(c.map(), d.map());
-        assert_ne!(a.map(), c.map());
+        assert_eq!(c, d);
+        assert_ne!(a, c);
     }
 }

@@ -4,7 +4,7 @@ use crate::cache::{CacheFilter, CacheOutcome};
 use crate::config::HmConfig;
 use crate::memmode::{MemoryModeCache, MemoryModeSpec};
 use crate::migrate::{Direction, InFlight, MigrationEngine, MigrationTicket};
-use crate::profiler::{PageAccessMap, PageAccessProfiler};
+use crate::profiler::PageAccessMap;
 use crate::stats::{MemStats, StatsTimeline};
 use crate::table::{PageState, PageTable, PteRun};
 use crate::{MemError, Ns, PageRange, Tier};
@@ -105,7 +105,7 @@ pub struct MemorySystem {
     engine: MigrationEngine,
     cache: Option<CacheFilter>,
     memmode: Option<MemoryModeCache>,
-    profiler: Option<PageAccessProfiler>,
+    profiler: Option<PageAccessMap>,
     /// Whether the active profiling phase poisons only caller-chosen ranges
     /// (incremental re-profiling): suppresses the poison-on-map default so
     /// unrelated fresh mappings stay fault-free during the observation step.
@@ -981,7 +981,7 @@ impl MemorySystem {
     /// future mapping is poisoned on arrival, so each main-memory access
     /// faults and is counted (paper Section III-A).
     pub fn start_profiling(&mut self) {
-        self.profiler = Some(PageAccessProfiler::new());
+        self.profiler = Some(PageAccessMap::new());
         self.selective_profiling = false;
         self.table.poison_all_mapped();
         if let Some(cache) = &mut self.cache {
@@ -1000,7 +1000,7 @@ impl MemorySystem {
     /// reserved (mapped or not); out-of-range poisoning is a caller bug.
     /// Ended by the same [`MemorySystem::stop_profiling`].
     pub fn start_profiling_ranges(&mut self, ranges: &[PageRange]) {
-        self.profiler = Some(PageAccessProfiler::new());
+        self.profiler = Some(PageAccessMap::new());
         self.selective_profiling = true;
         for &range in ranges {
             if !range.is_empty() {
@@ -1034,7 +1034,7 @@ impl MemorySystem {
     pub fn stop_profiling(&mut self) -> PageAccessMap {
         self.table.unpoison_all();
         self.selective_profiling = false;
-        let map = self.profiler.take().map(PageAccessProfiler::into_map).unwrap_or_default();
+        let map = self.profiler.take().unwrap_or_default();
         self.sanitize_rare();
         map
     }
@@ -1107,9 +1107,9 @@ impl MemorySystem {
         self.memmode.as_ref()
     }
 
-    /// Borrow the active profiler, if a profiling phase is running.
+    /// Borrow the active profiling phase's fault record, if one is running.
     #[must_use]
-    pub fn profiler(&self) -> Option<&PageAccessProfiler> {
+    pub fn profiler(&self) -> Option<&PageAccessMap> {
         self.profiler.as_ref()
     }
 

@@ -10,7 +10,7 @@
 //! size) or run past the last page. Maps built from the same faults in
 //! other orders must be equal, and one extra fault must make them unequal.
 
-use sentinel_mem::{PageAccessProfiler, PageRange};
+use sentinel_mem::{PageAccessMap, PageRange};
 use sentinel_util::prop::{check, shrink_vec};
 use sentinel_util::{prop_assert, prop_assert_eq, Rng};
 
@@ -42,12 +42,10 @@ fn gen_faults(rng: &mut Rng) -> Vec<Fault> {
         .collect()
 }
 
-fn record(p: &mut PageAccessProfiler, fault: &Fault) {
+fn record(map: &mut PageAccessMap, fault: &Fault) {
     match *fault {
-        Fault::One(page) => {
-            p.record_fault(page);
-        }
-        Fault::Range(range) => p.record_faults(range),
+        Fault::One(page) => map.record_fault(page),
+        Fault::Range(range) => map.record_faults(range),
     }
 }
 
@@ -76,8 +74,7 @@ fn model_sum(model: &[u64], range: PageRange) -> u64 {
     model[start..end].iter().sum()
 }
 
-fn agrees(p: &PageAccessProfiler, model: &[u64], touched: usize, total: u64) -> Result<(), String> {
-    let map = p.map();
+fn agrees(map: &PageAccessMap, model: &[u64], touched: usize, total: u64) -> Result<(), String> {
     prop_assert_eq!(map.total(), total, "total");
     prop_assert_eq!(map.touched_pages(), touched, "touched pages");
     // `iter` must list exactly the model's non-zero pages, ascending.
@@ -105,11 +102,11 @@ fn agrees(p: &PageAccessProfiler, model: &[u64], touched: usize, total: u64) -> 
 }
 
 fn matches_model(faults: &Vec<Fault>) -> Result<(), String> {
-    let mut p = PageAccessProfiler::new();
+    let mut map = PageAccessMap::new();
     let mut model = vec![0u64; PAGE_LIMIT as usize];
     let (mut touched, mut total) = (0, 0);
     for fault in faults {
-        record(&mut p, fault);
+        record(&mut map, fault);
         let range = match *fault {
             Fault::One(page) => PageRange::new(page, 1),
             Fault::Range(range) => range,
@@ -119,13 +116,12 @@ fn matches_model(faults: &Vec<Fault>) -> Result<(), String> {
             model[page as usize] += 1;
         }
         total += range.count;
-        agrees(&p, &model, touched, total)?;
+        agrees(&map, &model, touched, total)?;
     }
-    prop_assert_eq!(p.faults(), total, "faults");
 
     // The same faults in reverse order, and page by page, build equal maps.
-    let mut reversed = PageAccessProfiler::new();
-    let mut per_page = PageAccessProfiler::new();
+    let mut reversed = PageAccessMap::new();
+    let mut per_page = PageAccessMap::new();
     for fault in faults.iter().rev() {
         record(&mut reversed, fault);
         if let Fault::Range(range) = *fault {
@@ -136,10 +132,10 @@ fn matches_model(faults: &Vec<Fault>) -> Result<(), String> {
             record(&mut per_page, fault);
         }
     }
-    prop_assert!(*reversed.map() == *p.map(), "reversed order built a different map");
-    prop_assert!(*per_page.map() == *p.map(), "page-by-page faults built a different map");
+    prop_assert!(reversed == map, "reversed order built a different map");
+    prop_assert!(per_page == map, "page-by-page faults built a different map");
     reversed.record_fault(WINDOWS[3] + 1);
-    prop_assert!(*reversed.map() != *p.map(), "an extra fault left the maps equal");
+    prop_assert!(reversed != map, "an extra fault left the maps equal");
     Ok(())
 }
 

@@ -68,7 +68,6 @@ fn classify(frame: Json) -> Result<Json, ClientError> {
 /// One connection to a `sentineld` server.
 pub struct Client {
     stream: TcpStream,
-    max_frame_bytes: usize,
 }
 
 impl Client {
@@ -80,7 +79,7 @@ impl Client {
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ClientError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(Client { stream, max_frame_bytes: MAX_FRAME_BYTES_DEFAULT })
+        Ok(Client { stream })
     }
 
     /// Send one raw request frame and read one response frame. Error
@@ -91,7 +90,7 @@ impl Client {
     /// Transport, codec, or server error.
     pub fn call(&mut self, request: &Json) -> Result<Json, ClientError> {
         write_frame(&mut self.stream, request)?;
-        classify(read_frame(&mut self.stream, self.max_frame_bytes)?)
+        classify(read_frame(&mut self.stream, MAX_FRAME_BYTES_DEFAULT)?)
     }
 
     /// Liveness probe.
@@ -135,12 +134,12 @@ impl Client {
         mut on_step: impl FnMut(&Json),
     ) -> Result<Json, ClientError> {
         write_frame(&mut self.stream, request)?;
-        let first = classify(read_frame(&mut self.stream, self.max_frame_bytes)?)?;
+        let first = classify(read_frame(&mut self.stream, MAX_FRAME_BYTES_DEFAULT)?)?;
         if str_member(&first, "type").as_deref() != Some("run_started") {
             return Err(ClientError::Unexpected(first));
         }
         loop {
-            let frame = classify(read_frame(&mut self.stream, self.max_frame_bytes)?)?;
+            let frame = classify(read_frame(&mut self.stream, MAX_FRAME_BYTES_DEFAULT)?)?;
             match str_member(&frame, "type").as_deref() {
                 Some("step") => on_step(&frame),
                 Some("run_complete") => return Ok(frame),

@@ -56,7 +56,6 @@ impl Shared {
 pub struct Server {
     listener: TcpListener,
     workers: usize,
-    max_frame_bytes: usize,
     shared: Shared,
 }
 
@@ -73,7 +72,6 @@ impl Server {
         Ok(Server {
             listener,
             workers: workers.max(1),
-            max_frame_bytes: MAX_FRAME_BYTES_DEFAULT,
             shared: Shared {
                 queue: Mutex::new(VecDeque::new()),
                 ready: Condvar::new(),
@@ -90,13 +88,6 @@ impl Server {
     /// Propagates `local_addr` failures.
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
         self.listener.local_addr()
-    }
-
-    /// Override the per-frame payload ceiling (mainly for tests).
-    #[must_use]
-    pub fn with_max_frame_bytes(mut self, max: usize) -> Server {
-        self.max_frame_bytes = max;
-        self
     }
 
     /// Ask a running server to stop, from another thread holding a
@@ -179,7 +170,7 @@ impl Server {
         let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
         let _ = stream.set_nodelay(true);
         loop {
-            let frame = match read_frame(&mut stream, self.max_frame_bytes) {
+            let frame = match read_frame(&mut stream, MAX_FRAME_BYTES_DEFAULT) {
                 Ok(frame) => frame,
                 Err(WireError::Idle) => {
                     if self.shared.stop.load(Ordering::SeqCst) {

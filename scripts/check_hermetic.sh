@@ -137,8 +137,11 @@ echo "== perfbench gate: simulated output matches the stored references =="
 # result; every operation must match perfbench/refs.json. The traced
 # sentineld-mix run also sends every streamed step frame through the codec
 # and back (each must decode equal to what was written), and requires its
-# traced training reports to equal the untraced ones.
-for run in zoo-steady:0 deep-plan:0 sentineld-mix:0 experiments-fast:0 sentineld-mix:1; do
+# traced training reports to equal the untraced ones. The traced deep-plan
+# run rebuilds `Schedule::new` on its own, checks `solve_mil` against the
+# run's plan, and requires its hook-wrapped training reports to equal the
+# untraced ones.
+for run in zoo-steady:0 deep-plan:0 sentineld-mix:0 experiments-fast:0 sentineld-mix:1 deep-plan:1; do
     workload=${run%:*}
     trace=${run#*:}
     if ! bench_out=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml \

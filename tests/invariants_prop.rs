@@ -83,7 +83,9 @@ fn alloc_op(rng: &mut Rng) -> AllocOp {
     match rng.gen_usize(0, 5) {
         0..=2 => AllocOp::Alloc {
             pool: rng.gen_range(0, 3) as u8,
-            bytes: rng.gen_range(1, 20_000),
+            // One allocation in ten spans up to ~300 pages, so pools outgrow
+            // their first 256-page chunk, sometimes into an adjacent one.
+            bytes: if rng.gen_bool(0.1) { rng.gen_range(1, 1_200_000) } else { rng.gen_range(1, 20_000) },
             aligned: rng.gen_bool(0.5),
         },
         3 => AllocOp::FreeOldest,
@@ -91,8 +93,51 @@ fn alloc_op(rng: &mut Rng) -> AllocOp {
     }
 }
 
+/// The pool an [`AllocOp::Alloc`] draws from: pools 0 and 1 have a
+/// page-aligned twin of their own, while pool 2 serves both alignments.
+fn pool_spec(pool: u8, aligned: bool) -> PoolSpec {
+    match (aligned, pool) {
+        (true, 2) => PoolSpec::page_aligned(2),
+        (true, _) => PoolSpec::page_aligned(u64::from(pool) + 100),
+        (false, _) => PoolSpec::packed(u64::from(pool)),
+    }
+}
+
+/// Add one tenant to (or, without `add`, remove one from) every page of
+/// `pages` in the per-page model; returns the pages whose tenancy went
+/// 0→1 (or 1→0), ascending.
+fn model_transitions(tenancy: &mut HashMap<u64, u32>, pages: PageRange, add: bool) -> Vec<u64> {
+    let mut crossed = Vec::new();
+    for p in pages.iter() {
+        let c = tenancy.entry(p).or_insert(0);
+        if add {
+            *c += 1;
+        } else {
+            *c = c.checked_sub(1).expect("model tenancy underflow");
+        }
+        if *c == u32::from(add) {
+            crossed.push(p);
+        }
+    }
+    crossed
+}
+
+/// Free `a` and check the pages reported emptied against the model.
+fn free_checked(
+    alloc: &mut SegmentAllocator,
+    tenancy: &mut HashMap<u64, u32>,
+    a: &sentinel::dnn::Allocation,
+) -> Result<(), String> {
+    let emptied: Vec<u64> = alloc.free(a).iter().collect();
+    let expected = model_transitions(tenancy, a.pages, false);
+    prop_assert_eq!(emptied, expected, "freeing {:?} emptied {:?}, model {:?}", a, emptied, expected);
+    Ok(())
+}
+
 /// Live allocations never overlap in the byte address space, pools never
-/// share pages, and page tenancy is exactly the number of live tenants.
+/// share pages, and the pages each `alloc` reports populated (each `free`
+/// reports emptied) are exactly those a per-page tenant count sees go
+/// 0→1 (1→0).
 #[test]
 fn allocator_never_overlaps_live_allocations() {
     PropConfig::from_env().with_cases(64).run(
@@ -112,28 +157,27 @@ fn allocator_never_overlaps_live_allocations() {
             let mut mem = MemorySystem::new(HmConfig::testing().with_slow_capacity(1 << 30));
             let mut alloc = SegmentAllocator::new(4096);
             let mut live: Vec<(u8, sentinel::dnn::Allocation)> = Vec::new();
+            let mut tenancy: HashMap<u64, u32> = HashMap::new();
 
             for op in ops {
                 match *op {
                     AllocOp::Alloc { pool, bytes, aligned } => {
-                        let spec = if aligned {
-                            PoolSpec::page_aligned(u64::from(pool) + 100)
-                        } else {
-                            PoolSpec::packed(u64::from(pool))
-                        };
-                        let a = alloc.alloc(&mut mem, spec, bytes);
+                        let a = alloc.alloc(&mut mem, pool_spec(pool, aligned), bytes);
                         prop_assert!(a.bytes >= bytes);
+                        let populated: Vec<u64> = a.new_pages.iter().collect();
+                        let expected = model_transitions(&mut tenancy, a.pages, true);
+                        prop_assert_eq!(populated, expected, "{:?} populated {:?}, model {:?}", a, populated, expected);
                         live.push((pool, a));
                     }
                     AllocOp::FreeOldest => {
                         if !live.is_empty() {
                             let (_, a) = live.remove(0);
-                            alloc.free(&a);
+                            free_checked(&mut alloc, &mut tenancy, &a)?;
                         }
                     }
                     AllocOp::FreeNewest => {
                         if let Some((_, a)) = live.pop() {
-                            alloc.free(&a);
+                            free_checked(&mut alloc, &mut tenancy, &a)?;
                         }
                     }
                 }
@@ -145,22 +189,12 @@ fn allocator_never_overlaps_live_allocations() {
                         prop_assert!(disjoint, "allocations overlap: {a:?} vs {b:?}");
                     }
                 }
-                // Page tenancy equals the number of live allocations covering it.
-                let mut expected: HashMap<u64, u32> = HashMap::new();
-                for (_, a) in &live {
-                    for p in a.pages.iter() {
-                        *expected.entry(p).or_insert(0) += 1;
-                    }
-                }
-                for (&p, &c) in &expected {
-                    prop_assert_eq!(alloc.tenants(p), c, "page {} tenancy: {} != {}", p, alloc.tenants(p), c);
-                }
             }
-            // Draining everything empties the populated-page set.
+            // Draining everything empties every page it populated.
             for (_, a) in live.drain(..) {
-                alloc.free(&a);
+                free_checked(&mut alloc, &mut tenancy, &a)?;
             }
-            prop_assert_eq!(alloc.populated_pages(), 0);
+            prop_assert!(tenancy.values().all(|&c| c == 0));
             prop_assert_eq!(alloc.live_bytes(), 0);
             Ok(())
         },
