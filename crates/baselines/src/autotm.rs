@@ -59,8 +59,8 @@ impl AutoTm {
             let (Some(&first), Some(&last)) = (layers.first(), layers.last()) else { continue };
             let bytes = graph.tensor(t).bytes;
             if (first..=last).all(|l| per_layer_bytes[l] + bytes <= budget) {
-                for l in first..=last {
-                    per_layer_bytes[l] += bytes;
+                for layer_bytes in &mut per_layer_bytes[first..=last] {
+                    *layer_bytes += bytes;
                 }
                 assigned[t.index()] = true;
             }

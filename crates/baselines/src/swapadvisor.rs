@@ -99,8 +99,8 @@ fn fitness(graph: &Graph, candidates: &[Candidate], genome: &[bool], fast_bytes:
     let mut demand = vec![0f64; num_layers];
     for t in graph.tensors() {
         if let Some((first, last)) = t.layer_span() {
-            for l in first..=last.min(num_layers - 1) {
-                demand[l] += t.bytes as f64;
+            for d in demand.iter_mut().take(last + 1).skip(first) {
+                *d += t.bytes as f64;
             }
         }
     }
@@ -110,8 +110,8 @@ fn fitness(graph: &Graph, candidates: &[Candidate], genome: &[bool], fast_bytes:
             continue;
         }
         // Swapped out during the gap: free its bytes there.
-        for l in (c.first + 1)..c.last {
-            demand[l] -= c.bytes as f64;
+        for d in demand.iter_mut().take(c.last).skip(c.first + 1) {
+            *d -= c.bytes as f64;
         }
         // Transfer both ways; assume one layer of overlap each way.
         let per_layer_overlap = 2.0e6; // ns, coarse uniform estimate

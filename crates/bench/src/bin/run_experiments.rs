@@ -110,7 +110,7 @@ fn main() {
     fs::create_dir_all("results").expect("create results dir");
     let started = Instant::now();
 
-    let registry: Vec<(&str, fn(&ExpConfig) -> ExpResult)> = experiment_registry()
+    let registry: Vec<_> = experiment_registry()
         .into_iter()
         .filter(|(id, _)| filter.is_empty() || filter.iter().any(|f| id.contains(f.as_str())))
         .collect();

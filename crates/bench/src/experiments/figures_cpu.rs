@@ -115,7 +115,7 @@ pub fn fig7(cfg: &ExpConfig) -> ExpResult {
             fx(r.sentinel)
         ));
     }
-    let mean = |f: &dyn Fn(&Row) -> f64| rows.iter().map(|r| f(r)).sum::<f64>() / rows.len() as f64;
+    let mean = |f: &dyn Fn(&Row) -> f64| rows.iter().map(f).sum::<f64>() / rows.len() as f64;
     md.push_str(&format!(
         "\nSpeedup over slow-memory-only at fast = 20% of peak. Geo-ish means: Sentinel {}, AutoTM {}, IAL {}; Sentinel reaches {:.0}% of fast-only on average.\n",
         fx(mean(&|r| r.sentinel)),

@@ -31,6 +31,9 @@ pub mod harness;
 
 pub use harness::{ExpConfig, ExpResult};
 
+/// An experiment's generator: runs it under a config and returns its result.
+type Generator = fn(&ExpConfig) -> ExpResult;
+
 /// Every experiment in presentation order, as `(id, generator)` pairs so
 /// callers can filter before paying for a run.
 ///
@@ -39,9 +42,9 @@ pub use harness::{ExpConfig, ExpResult};
 /// `EXPERIMENTS_GENERATED.md` are byte-identical with or without the
 /// fault-injection subsystem compiled in.
 #[must_use]
-pub fn experiment_registry() -> Vec<(&'static str, fn(&ExpConfig) -> ExpResult)> {
+pub fn experiment_registry() -> Vec<(&'static str, Generator)> {
     use experiments::*;
-    let mut registry: Vec<(&'static str, fn(&ExpConfig) -> ExpResult)> = vec![
+    let mut registry: Vec<(&'static str, Generator)> = vec![
         ("table1", tables::table1),
         ("table2", tables::table2),
         ("fig1", characterization::fig1_anatomy),

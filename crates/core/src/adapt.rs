@@ -552,9 +552,7 @@ mod tests {
 
     #[test]
     fn adapt_report_serializes_all_fields() {
-        let mut r = AdaptReport::default();
-        r.drift_events = 2;
-        r.warnings.push("w".to_owned());
+        let r = AdaptReport { drift_events: 2, warnings: vec!["w".to_owned()], ..AdaptReport::default() };
         let json = r.to_json().to_string();
         for key in [
             "drift_events",

@@ -31,9 +31,10 @@ fn interval_plan_partitions_layers_exactly() {
             for k in 0..p.num_intervals() {
                 let (s, e) = (p.start_layer(k), p.end_layer(k));
                 prop_assert!(s < e || (s == e && k + 1 == p.num_intervals()));
-                for l in s..e {
-                    prop_assert!(!covered[l], "layer {} covered twice", l);
-                    covered[l] = true;
+                prop_assert!(e <= layers, "interval {} ends at {}, past the last layer", k, e);
+                for (slot, l) in covered[s..e].iter_mut().zip(s..) {
+                    prop_assert!(!*slot, "layer {} covered twice", l);
+                    *slot = true;
                     prop_assert_eq!(p.interval_of(l), k);
                 }
             }

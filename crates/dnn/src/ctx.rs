@@ -100,6 +100,7 @@ impl<'g> ExecCtx<'g> {
 
     pub(crate) fn begin_step(&mut self, step: usize) {
         self.step = step;
+        self.mem.begin_step();
         self.breakdown = StepBreakdown::default();
     }
 

@@ -15,6 +15,7 @@
 //! same way and probes them with the same `touch`.
 
 use crate::{Ns, PageRange};
+use std::borrow::Cow;
 
 /// Configuration of the [`CacheFilter`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,10 +87,12 @@ pub(crate) const EMPTY: u64 = u64::MAX;
 /// touches is resolved in one pass.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RangeProbe {
-    /// Pages of the range that hit, in ascending order. Hits are bounded by
-    /// the cache's line count, so this stays small even for huge ranges.
-    pub hit_pages: Vec<u64>,
-    /// Number of pages that missed (`range.count - hit_pages.len()`).
+    /// The pages of the range that hit, as maximal runs in ascending order.
+    /// Hits are bounded by the cache's line count and mostly contiguous, so
+    /// this stays short even for huge ranges.
+    pub hit_runs: Vec<PageRange>,
+    /// Number of pages that missed (the range's count minus
+    /// [`RangeProbe::hits`]).
     pub misses: u64,
 }
 
@@ -97,8 +100,32 @@ impl RangeProbe {
     /// Number of pages that hit.
     #[must_use]
     pub fn hits(&self) -> u64 {
-        self.hit_pages.len() as u64
+        self.hit_runs.iter().map(|run| run.count).sum()
     }
+}
+
+/// One call that changes the filter's tags, as the step memo records it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Call {
+    Probe(PageRange),
+    Invalidate(PageRange),
+    Flush,
+}
+
+/// One training step's calls and hits, replayed while later steps repeat it
+/// (see [`CacheFilter::begin_step`]).
+#[derive(Debug, Clone, Default)]
+struct StepMemo {
+    /// The tags when the recorded step began.
+    start: Vec<u64>,
+    /// The recorded calls in order, each with the end of its hit runs in
+    /// `runs`.
+    calls: Vec<(Call, usize)>,
+    /// The hit runs of every recorded call, in call order.
+    runs: Vec<PageRange>,
+    /// While the current step replays the record, how many recorded calls
+    /// it has made so far; the tags still hold `start`.
+    replay: Option<usize>,
 }
 
 /// A page-granular set-associative LRU cache filter.
@@ -110,7 +137,7 @@ impl RangeProbe {
 /// assert_eq!(cache.probe(42), CacheOutcome::Miss);
 /// assert_eq!(cache.probe(42), CacheOutcome::Hit);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct CacheFilter {
     spec: CacheFilterSpec,
     sets: usize,
@@ -119,6 +146,18 @@ pub struct CacheFilter {
     tags: Vec<u64>,
     hits: u64,
     misses: u64,
+    /// `None` until the first [`CacheFilter::begin_step`].
+    memo: Option<StepMemo>,
+}
+
+/// Filters are equal when their specs, counters and the tags their calls
+/// so far produced are; the step memo is how they got there, not state.
+impl PartialEq for CacheFilter {
+    fn eq(&self, other: &Self) -> bool {
+        self.spec == other.spec
+            && (self.hits, self.misses) == (other.hits, other.misses)
+            && self.settled_tags() == other.settled_tags()
+    }
 }
 
 impl CacheFilter {
@@ -126,7 +165,7 @@ impl CacheFilter {
     #[must_use]
     pub fn new(spec: CacheFilterSpec) -> Self {
         let sets = spec.sets();
-        CacheFilter { spec, sets, tags: vec![EMPTY; sets * spec.ways.max(1)], hits: 0, misses: 0 }
+        CacheFilter { spec, sets, tags: vec![EMPTY; sets * spec.ways.max(1)], hits: 0, misses: 0, memo: None }
     }
 
     /// The configuration this cache was built from.
@@ -135,13 +174,52 @@ impl CacheFilter {
         &self.spec
     }
 
+    /// Mark the start of a training step.
+    ///
+    /// From the first step on, the filter records each step's calls and
+    /// their hits. A step that starts from the tags the recorded step
+    /// started from replays it: each call equal to the next recorded one
+    /// gets the recorded hits, and the tags are not touched. At the first
+    /// call that differs, the filter applies the replayed calls to the tags
+    /// and computes from there on, recording as it goes.
+    ///
+    /// This is exact. A call's hits and the next tags are a function of the
+    /// tags and the call, and replay starts only where a step ends in the
+    /// state the recorded step started from. So the recorded calls, made
+    /// again from that state, return the same hits and end in it again.
+    /// Outcomes, counters and state are those of computing every call.
+    pub fn begin_step(&mut self) {
+        let memo = self.memo.get_or_insert_with(StepMemo::default);
+        match memo.replay {
+            Some(done) if done == memo.calls.len() => {
+                memo.replay = Some(0);
+                return;
+            }
+            Some(_) => self.materialize(),
+            None => {}
+        }
+        let memo = self.memo.as_mut().expect("set above");
+        if memo.start == self.tags {
+            memo.replay = Some(0);
+        } else {
+            memo.start.clone_from(&self.tags);
+            memo.calls.clear();
+            memo.runs.clear();
+        }
+    }
+
     /// Probe (and update) the cache for a page, returning hit or miss.
     /// A miss installs the page, evicting the set's LRU victim.
     pub fn probe(&mut self, page: u64) -> CacheOutcome {
         debug_assert_ne!(page, EMPTY, "page u64::MAX is the empty-slot tag");
-        let ways = self.spec.ways.max(1);
-        let base = (page as usize) % self.sets * ways;
-        if touch(&mut self.tags[base..base + ways], page).is_some() {
+        let hit = if self.memo.is_some() {
+            !self.call(Call::Probe(PageRange::new(page, 1))).is_empty()
+        } else {
+            let ways = self.spec.ways.max(1);
+            let base = (page as usize) % self.sets * ways;
+            touch(&mut self.tags[base..base + ways], page).is_some()
+        };
+        if hit {
             self.hits += 1;
             CacheOutcome::Hit
         } else {
@@ -167,53 +245,19 @@ impl CacheFilter {
     /// `p_0, p_1, …`, keeping the last `ways`: a line in the range that does
     /// not hit was evicted, so dropping it first changes nothing kept.
     pub fn probe_range(&mut self, range: PageRange) -> RangeProbe {
-        let sets = self.sets as u64;
-        let (q, rem) = (range.count / sets, range.count % sets);
-        let mut out = RangeProbe::default();
-        // Where sets hold several pages each, `(next, end)` of each set's
-        // hits in `out.hit_pages`, for the merge below.
-        let mut runs = Vec::new();
-        for (t, set) in (0..).zip(self.touched_sets(range)) {
-            let (p0, k) = (range.first + t, q + u64::from(t < rem));
-            let first_hit = out.hit_pages.len();
-            if k == 1 {
-                if touch(set, p0).is_some() {
-                    out.hit_pages.push(p0);
-                }
-            } else {
-                resolve_set(set, p0, k, range.end() - p0, sets, &mut out.hit_pages);
-            }
-            if range.count > sets && out.hit_pages.len() > first_hit {
-                runs.push((first_hit, out.hit_pages.len()));
-            }
-        }
-        // Sets are visited in page order, so the hits are ascending unless
-        // a set holds several pages. Then the pages below
-        // `first + (i + 1)·sets` are those of index `i` or lower: round `i`
-        // takes the index-`i` hit, if any, from every set in turn.
-        if !runs.is_empty() {
-            let n = out.hit_pages.len();
-            let by_set = std::mem::replace(&mut out.hit_pages, Vec::with_capacity(n));
-            let mut below = range.first;
-            while !runs.is_empty() {
-                below += sets;
-                runs.retain_mut(|(next, end)| {
-                    if by_set[*next] < below {
-                        out.hit_pages.push(by_set[*next]);
-                        *next += 1;
-                    }
-                    next < end
-                });
-            }
-        }
-        out.misses = range.count - out.hits();
-        self.hits += out.hits();
-        self.misses += out.misses;
-        out
+        let hit_runs = self.call(Call::Probe(range));
+        let hits: u64 = hit_runs.iter().map(|run| run.count).sum();
+        self.hits += hits;
+        self.misses += range.count - hits;
+        RangeProbe { hit_runs, misses: range.count - hits }
     }
 
     /// Invalidate a page (e.g. after it is unmapped or migrated).
     pub fn invalidate(&mut self, page: u64) {
+        if self.memo.is_some() {
+            self.call(Call::Invalidate(PageRange::new(page, 1)));
+            return;
+        }
         let ways = self.spec.ways.max(1);
         let base = (page as usize) % self.sets * ways;
         let set = &mut self.tags[base..base + ways];
@@ -226,6 +270,135 @@ impl CacheFilter {
     /// Invalidate every page of a range, one pass per set it touches; the
     /// final state is that of [`CacheFilter::invalidate`] on each page.
     pub fn invalidate_range(&mut self, range: PageRange) {
+        self.call(Call::Invalidate(range));
+    }
+
+    /// Drop all cached pages.
+    pub fn flush(&mut self) {
+        self.call(Call::Flush);
+    }
+
+    /// Make `call`, returning its hit runs: from the step memo while the
+    /// current step replays it, computed otherwise. Once steps are marked,
+    /// a computed call is recorded.
+    fn call(&mut self, call: Call) -> Vec<PageRange> {
+        if let Some(memo) = &mut self.memo {
+            if let Some(done) = memo.replay {
+                let from = done.checked_sub(1).map_or(0, |prev| memo.calls[prev].1);
+                if let Some(&(recorded, end)) = memo.calls.get(done) {
+                    if recorded == call {
+                        memo.replay = Some(done + 1);
+                        return memo.runs[from..end].to_vec();
+                    }
+                }
+                // The step leaves the record here: what it replayed is the
+                // start of the step it now records.
+                self.materialize();
+                let memo = self.memo.as_mut().expect("replaying");
+                memo.calls.truncate(done);
+                memo.runs.truncate(from);
+            }
+        }
+        let hit_runs = self.compute(call);
+        if let Some(memo) = &mut self.memo {
+            memo.calls.push((call, memo.runs.len() + hit_runs.len()));
+            memo.runs.extend_from_slice(&hit_runs);
+        }
+        hit_runs
+    }
+
+    /// End a replay: apply the calls it replayed to the tags, which still
+    /// hold the recorded step's start, leaving the counters alone. A replay
+    /// that made every recorded call is already there, since the recorded
+    /// step ends where it started.
+    fn materialize(&mut self) {
+        let Some(mut memo) = self.memo.take() else { return };
+        if let Some(done) = memo.replay.take() {
+            if done < memo.calls.len() {
+                for &(call, _) in &memo.calls[..done] {
+                    self.compute(call);
+                }
+            }
+        }
+        self.memo = Some(memo);
+    }
+
+    /// The tags the calls so far produced, materializing a clone during a
+    /// replay.
+    fn settled_tags(&self) -> Cow<'_, [u64]> {
+        if self.memo.as_ref().is_some_and(|memo| memo.replay.is_some()) {
+            let mut settled = self.clone();
+            settled.materialize();
+            settled.tags.into()
+        } else {
+            self.tags.as_slice().into()
+        }
+    }
+
+    /// Apply `call` to the tags, returning its hit runs; the counters are
+    /// left to the caller.
+    fn compute(&mut self, call: Call) -> Vec<PageRange> {
+        match call {
+            Call::Probe(range) => self.resolve_range(range),
+            Call::Invalidate(range) => {
+                self.invalidate_sets(range);
+                Vec::new()
+            }
+            Call::Flush => {
+                self.tags.fill(EMPTY);
+                Vec::new()
+            }
+        }
+    }
+
+    /// The tag updates and hit runs of [`CacheFilter::probe_range`].
+    fn resolve_range(&mut self, range: PageRange) -> Vec<PageRange> {
+        let sets = self.sets as u64;
+        let (q, rem) = (range.count / sets, range.count % sets);
+        let mut hit_pages = Vec::new();
+        // Where sets hold several pages each, `(next, end)` of each set's
+        // hits in `hit_pages`, for the merge below.
+        let mut by_set = Vec::new();
+        for (t, set) in (0..).zip(self.touched_sets(range)) {
+            let (p0, k) = (range.first + t, q + u64::from(t < rem));
+            let first_hit = hit_pages.len();
+            if k == 1 {
+                if touch(set, p0).is_some() {
+                    hit_pages.push(p0);
+                }
+            } else {
+                resolve_set(set, p0, k, range.end() - p0, sets, &mut hit_pages);
+            }
+            if range.count > sets && hit_pages.len() > first_hit {
+                by_set.push((first_hit, hit_pages.len()));
+            }
+        }
+        // Sets are visited in page order, so the hits are ascending unless
+        // a set holds several pages. Then the pages below
+        // `first + (i + 1)·sets` are those of index `i` or lower: round `i`
+        // takes the index-`i` hit, if any, from every set in turn.
+        let mut hit_runs = Vec::new();
+        if by_set.is_empty() {
+            for &page in &hit_pages {
+                push_page(&mut hit_runs, page);
+            }
+        }
+        let mut below = range.first;
+        while !by_set.is_empty() {
+            below += sets;
+            by_set.retain_mut(|(next, end)| {
+                if hit_pages[*next] < below {
+                    push_page(&mut hit_runs, hit_pages[*next]);
+                    *next += 1;
+                }
+                next < end
+            });
+        }
+        hit_runs
+    }
+
+    /// The tag updates of [`CacheFilter::invalidate_range`].
+    fn invalidate_sets(&mut self, range: PageRange) {
         let ways = self.spec.ways.max(1);
         for set in self.touched_sets(range) {
             // Lines outside the range slide to the back in order; the slots
@@ -251,11 +424,6 @@ impl CacheFilter {
         from.chunks_exact_mut(ways).chain(below.chunks_exact_mut(ways)).take(touched)
     }
 
-    /// Drop all cached pages.
-    pub fn flush(&mut self) {
-        self.tags.fill(EMPTY);
-    }
-
     /// Hits observed so far.
     #[must_use]
     pub fn hits(&self) -> u64 {
@@ -272,6 +440,15 @@ impl CacheFilter {
     #[must_use]
     pub fn hit_time_ns(&self, bytes: u64) -> Ns {
         self.spec.hit_latency_ns + (bytes as f64 / self.spec.hit_bw_bytes_per_ns).ceil() as Ns
+    }
+}
+
+/// Append `page` to ascending hit runs, extending the last run if the page
+/// follows it.
+fn push_page(runs: &mut Vec<PageRange>, page: u64) {
+    match runs.last_mut() {
+        Some(run) if run.end() == page => run.count += 1,
+        _ => runs.push(PageRange::new(page, 1)),
     }
 }
 
@@ -405,7 +582,7 @@ mod tests {
         let mut ref_probe = RangeProbe::default();
         for p in range.iter() {
             match reference.probe(p) {
-                CacheOutcome::Hit => ref_probe.hit_pages.push(p),
+                CacheOutcome::Hit => push_page(&mut ref_probe.hit_runs, p),
                 CacheOutcome::Miss => ref_probe.misses += 1,
             }
         }
@@ -466,6 +643,73 @@ mod tests {
             }
             assert_eq!(a, b);
         }
+    }
+
+    /// Make `call` through the public method a caller would use.
+    fn make(c: &mut CacheFilter, call: Call) -> Vec<PageRange> {
+        match call {
+            Call::Probe(r) if r.count == 1 => match c.probe(r.first) {
+                CacheOutcome::Hit => vec![r],
+                CacheOutcome::Miss => Vec::new(),
+            },
+            Call::Probe(r) => c.probe_range(r).hit_runs,
+            Call::Invalidate(r) if r.count == 1 => {
+                c.invalidate(r.first);
+                Vec::new()
+            }
+            Call::Invalidate(r) => {
+                c.invalidate_range(r);
+                Vec::new()
+            }
+            Call::Flush => {
+                c.flush();
+                Vec::new()
+            }
+        }
+    }
+
+    #[test]
+    fn repeated_steps_replay_without_touching_the_tags() {
+        let step = [
+            Call::Probe(PageRange::new(0, 6)),
+            Call::Probe(PageRange::new(1, 1)),
+            Call::Invalidate(PageRange::new(5, 1)),
+            Call::Probe(PageRange::new(3, 4)),
+            Call::Invalidate(PageRange::new(8, 2)),
+            Call::Probe(PageRange::new(9, 1)),
+        ];
+        let mut stepped = CacheFilter::new(tiny_spec());
+        let mut plain = stepped.clone();
+        for n in 0..4 {
+            if n >= 3 {
+                // The boundary finds the whole record replayed.
+                let memo = stepped.memo.as_ref().expect("recording since step 0");
+                assert_eq!(memo.replay, Some(memo.calls.len()), "step {n}");
+            }
+            stepped.begin_step();
+            let start = stepped.tags.clone();
+            for (i, &call) in step.iter().enumerate() {
+                assert_eq!(make(&mut stepped, call), make(&mut plain, call), "step {n}, call {i}");
+                if n >= 2 {
+                    assert_eq!(stepped.tags, start, "step {n} wrote the tags at call {i}");
+                    assert_eq!(stepped.memo.as_ref().and_then(|m| m.replay), Some(i + 1), "step {n}, call {i}");
+                }
+                assert_eq!(stepped, plain, "step {n}, call {i}");
+            }
+        }
+        let memo = stepped.memo.as_ref().expect("recording");
+        assert_eq!(memo.replay, Some(step.len()));
+    }
+
+    #[test]
+    fn nothing_is_recorded_before_the_first_step() {
+        let mut c = CacheFilter::new(tiny_spec());
+        for _ in 0..2 {
+            c.probe_range(PageRange::new(0, 6));
+            c.invalidate(3);
+            c.flush();
+        }
+        assert!(c.memo.is_none());
     }
 }
 

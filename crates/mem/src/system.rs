@@ -382,10 +382,11 @@ impl MemorySystem {
                 let (hits, misses) = match &mut self.cache {
                     Some(cache) => {
                         let probe = cache.probe_range(sub);
-                        report.cache_hits += probe.hits();
-                        cache_model_bytes += probe.hits() * per_model;
-                        report.bytes_cache += probe.hits() * per_pay;
-                        (probe.hit_pages, probe.misses)
+                        let hits = sub.count - probe.misses;
+                        report.cache_hits += hits;
+                        cache_model_bytes += hits * per_model;
+                        report.bytes_cache += hits * per_pay;
+                        (probe.hit_runs, probe.misses)
                     }
                     None => (Vec::new(), sub.count),
                 };
@@ -394,20 +395,8 @@ impl MemorySystem {
                 }
                 report.mm_accesses += misses;
 
-                // Walk the maximal miss runs (the complement of the sorted
-                // hit pages within `sub`).
-                let mut cur = sub.first;
-                let mut h = 0usize;
-                while cur < sub.end() {
-                    if h < hits.len() && hits[h] == cur {
-                        cur += 1;
-                        h += 1;
-                        continue;
-                    }
-                    let next_hit = if h < hits.len() { hits[h] } else { sub.end() };
-                    let mr = PageRange::new(cur, next_hit - cur);
-                    cur = next_hit;
-
+                // Walk the maximal miss runs, one per gap between hit runs.
+                for mr in miss_runs(sub, &hits) {
                     // Profiling faults for every missed page of a poisoned
                     // run; the fault handler re-poisons, so the bit stays
                     // set for the next access.
@@ -975,6 +964,15 @@ impl MemorySystem {
         self.sanitize_rare();
     }
 
+    /// Mark the start of a training step. Nothing observable changes: the
+    /// cache filter replays a step that repeats the previous one from the
+    /// same state (see [`CacheFilter::begin_step`]).
+    pub fn begin_step(&mut self) {
+        if let Some(cache) = &mut self.cache {
+            cache.begin_step();
+        }
+    }
+
     // ------------------------------------------------------------ profiling
 
     /// Begin a profiling phase: every mapped page is poisoned and every
@@ -1423,6 +1421,16 @@ fn merge_runs(runs: impl Iterator<Item = PageRange>) -> Vec<PageRange> {
         }
     }
     out
+}
+
+/// The maximal runs of `range` between its ascending, disjoint `hits`.
+fn miss_runs(range: PageRange, hits: &[PageRange]) -> impl Iterator<Item = PageRange> + '_ {
+    let mut cur = range.first;
+    hits.iter().copied().chain([PageRange::new(range.end(), 0)]).filter_map(move |hit| {
+        let gap = PageRange::new(cur, hit.first - cur);
+        cur = hit.end();
+        (!gap.is_empty()).then_some(gap)
+    })
 }
 
 /// Route a run of main-memory pages through the Memory-Mode cache, for both

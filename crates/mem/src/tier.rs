@@ -56,6 +56,12 @@ impl fmt::Display for Tier {
     }
 }
 
+impl sentinel_util::ToJson for Tier {
+    fn to_json(&self) -> sentinel_util::Json {
+        sentinel_util::Json::Str(format!("{self:?}"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,11 +84,5 @@ mod tests {
     fn display_is_lowercase() {
         assert_eq!(Tier::Fast.to_string(), "fast");
         assert_eq!(Tier::Slow.to_string(), "slow");
-    }
-}
-
-impl sentinel_util::ToJson for Tier {
-    fn to_json(&self) -> sentinel_util::Json {
-        sentinel_util::Json::Str(format!("{self:?}"))
     }
 }

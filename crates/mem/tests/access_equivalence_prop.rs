@@ -6,7 +6,10 @@
 //! properties drive both over randomized layouts and access streams and
 //! require *identical* observable behaviour: every `AccessReport`, the
 //! aggregate stats, the traffic timeline, the page table, and the internal
-//! state of the cache filter, profiler and Memory-Mode cache.
+//! state of the cache filter, profiler and Memory-Mode cache. A last
+//! property holds `MemorySystem::begin_step` to the same standard: marking
+//! training steps, which lets the cache filter replay a repeated step, must
+//! change nothing observable.
 
 use sentinel_mem::{
     AccessKind, CacheFilterSpec, HmConfig, MemoryModeSpec, MemorySystem, PageRange, Tier,
@@ -252,4 +255,136 @@ fn access_conserves_bytes_exactly() {
             Ok(())
         },
     );
+}
+
+/// One operation of a training step.
+#[derive(Clone, Debug)]
+enum StepOp {
+    /// `(first, count, to_fast)`.
+    Map(u64, u64, bool),
+    /// `(first, count)`.
+    Unmap(u64, u64),
+    /// `(first, count, to_fast)`.
+    Migrate(u64, u64, bool),
+    Access(Access),
+    /// Advance the clock this far and poll.
+    Poll(u64),
+}
+
+/// A layout with the cache filter on, and one step made several times.
+#[derive(Clone, Debug)]
+struct Steps {
+    layout: Scenario,
+    step: Vec<StepOp>,
+    /// For each step made, the index of an op it leaves out; one past the
+    /// end leaves out nothing, so most steps repeat verbatim.
+    skips: Vec<usize>,
+}
+
+fn gen_steps(rng: &mut Rng) -> Steps {
+    let mut layout = gen_scenario(rng);
+    layout.cache = layout.cache.or(Some((2, 2)));
+    layout.accesses.clear();
+    let pages = layout.pages;
+    let sub = |rng: &mut Rng| {
+        let first = rng.gen_range(0, pages);
+        (first, rng.gen_range(1, pages - first + 1))
+    };
+    let step: Vec<StepOp> = (0..rng.gen_usize(1, 13))
+        .map(|_| {
+            let (first, count) = sub(rng);
+            match rng.gen_usize(0, 10) {
+                0 => StepOp::Map(first, count, rng.gen_bool(0.4)),
+                1 => StepOp::Unmap(first, count),
+                2 => StepOp::Migrate(first, count, rng.gen_bool(0.5)),
+                3 => StepOp::Poll(rng.gen_range(0, 50_000)),
+                _ => {
+                    let bytes = rng.gen_range(0, 3 * 4096 * count);
+                    StepOp::Access(Access { first, count, bytes, write: rng.gen_bool(0.5) })
+                }
+            }
+        })
+        .collect();
+    let skips = (0..rng.gen_usize(1, 7))
+        .map(|_| if rng.gen_bool(0.7) { step.len() } else { rng.gen_usize(0, step.len()) })
+        .collect();
+    Steps { layout, step, skips }
+}
+
+/// Shrink by dropping ops and steps, and by repeating steps verbatim.
+fn shrink_steps(s: &Steps) -> Vec<Steps> {
+    let mut out = Vec::new();
+    for i in 0..s.step.len() {
+        if s.step.len() > 1 {
+            let mut t = s.clone();
+            t.step.remove(i);
+            for skip in &mut t.skips {
+                *skip = (*skip).min(t.step.len());
+            }
+            out.push(t);
+        }
+    }
+    for i in 0..s.skips.len() {
+        if s.skips.len() > 1 {
+            let mut t = s.clone();
+            t.skips.remove(i);
+            out.push(t);
+        }
+        if s.skips[i] < s.step.len() {
+            let mut t = s.clone();
+            t.skips[i] = s.step.len();
+            out.push(t);
+        }
+    }
+    out
+}
+
+#[test]
+fn marking_steps_changes_nothing() {
+    check("marking_steps_changes_nothing", gen_steps, shrink_steps, |s| {
+        let mut stepped = build(&s.layout);
+        let mut plain = build(&s.layout);
+        let mut now = 0u64;
+        for (n, &skip) in s.skips.iter().enumerate() {
+            stepped.begin_step();
+            for (i, op) in s.step.iter().enumerate().filter(|&(i, _)| i != skip) {
+                let tier = |fast: bool| if fast { Tier::Fast } else { Tier::Slow };
+                match *op {
+                    StepOp::Map(first, count, fast) => {
+                        let range = PageRange::new(first, count);
+                        prop_assert_eq!(stepped.map(range, tier(fast), now), plain.map(range, tier(fast), now), "step {n}, op {i}: map {range}");
+                    }
+                    StepOp::Unmap(first, count) => {
+                        let range = PageRange::new(first, count);
+                        prop_assert_eq!(stepped.unmap(range, now), plain.unmap(range, now), "step {n}, op {i}: unmap {range}");
+                    }
+                    StepOp::Migrate(first, count, fast) => {
+                        let range = PageRange::new(first, count);
+                        prop_assert_eq!(stepped.migrate(range, tier(fast), now), plain.migrate(range, tier(fast), now), "step {n}, op {i}: migrate {range}");
+                    }
+                    StepOp::Access(ref acc) => {
+                        let range = PageRange::new(acc.first, acc.count);
+                        let kind = if acc.write { AccessKind::Write } else { AccessKind::Read };
+                        let got = stepped.access(range, acc.bytes, kind, now);
+                        prop_assert_eq!(got, plain.access(range, acc.bytes, kind, now), "step {n}, op {i}: access {range}");
+                        now += got.elapsed_ns;
+                    }
+                    StepOp::Poll(dt) => {
+                        now += dt;
+                        stepped.poll(now);
+                        plain.poll(now);
+                    }
+                }
+            }
+            prop_assert_eq!(stepped.cache_filter(), plain.cache_filter(), "step {n}: cache filters differ");
+        }
+        prop_assert_eq!(stepped.stats(), plain.stats());
+        prop_assert_eq!(stepped.timeline(), plain.timeline());
+        prop_assert_eq!(stepped.page_table(), plain.page_table());
+        prop_assert_eq!(stepped.cache_filter(), plain.cache_filter());
+        prop_assert_eq!(stepped.memory_mode(), plain.memory_mode());
+        prop_assert_eq!(stepped.profiler(), plain.profiler());
+        prop_assert_eq!(stepped.unmapped_accesses(), plain.unmapped_accesses());
+        Ok(())
+    });
 }

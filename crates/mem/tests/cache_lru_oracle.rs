@@ -10,16 +10,18 @@
 //! a `Vec` per set, a hit moves its page to the back, a miss drops the front
 //! of a full set and appends the page — and require identical outcomes and
 //! counters at every step. For the filter the streams are probes,
-//! invalidations and flushes; for Memory Mode they are read and write
-//! ranges through `MemorySystem`, and the oracle also keeps a dirty bit per
-//! line and counts each dirty line it drops as a write-back.
+//! invalidations and flushes, grouped into training steps that repeat with
+//! small changes, so that the filter's step memo replays some of them; for
+//! Memory Mode they are read and write ranges through `MemorySystem`, and
+//! the oracle also keeps a dirty bit per line and counts each dirty line it
+//! drops as a write-back.
 
 use sentinel_mem::{
     AccessKind, AccessReport, CacheFilter, CacheFilterSpec, CacheOutcome, HmConfig,
     MemoryModeSpec, MemorySystem, PageRange, Tier,
 };
 use sentinel_util::prop::check;
-use sentinel_util::{prop_assert_eq, Rng};
+use sentinel_util::{prop_assert, prop_assert_eq, Rng};
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -28,6 +30,8 @@ enum Op {
     InvalidateRange(PageRange),
     Invalidate(u64),
     Flush,
+    /// A step boundary, marked on the memoizing filter only.
+    BeginStep,
 }
 
 #[derive(Clone, Debug)]
@@ -122,23 +126,49 @@ fn gen_range(rng: &mut Rng, sets: usize, ways: usize, starts: &mut Vec<u64>) -> 
     PageRange::new(first, rng.gen_range(0, 3 * lines + 1))
 }
 
+/// One random call: a probe or invalidation of a range or a page, or a flush.
+fn gen_call(rng: &mut Rng, sets: usize, ways: usize, starts: &mut Vec<u64>) -> Op {
+    let range = gen_range(rng, sets, ways, starts);
+    let first = range.first;
+    match rng.gen_usize(0, 16) {
+        0..=7 => Op::ProbeRange(range),
+        8..=10 => Op::Probe(first),
+        11..=12 => Op::InvalidateRange(range),
+        13..=14 => Op::Invalidate(first),
+        _ => Op::Flush,
+    }
+}
+
+/// A few calls before the first step boundary, then one random step made
+/// again and again: mostly verbatim, so that the memo replays it, otherwise
+/// with one call changed, inserted or dropped, cut short, or with a flush or
+/// an invalidation mid-step.
 fn gen_case(rng: &mut Rng) -> Case {
     let sets = rng.gen_usize(1, 14);
     let ways = rng.gen_usize(1, 21);
     let mut starts = Vec::new();
-    let ops = (0..rng.gen_usize(1, 41))
-        .map(|_| {
-            let range = gen_range(rng, sets, ways, &mut starts);
-            let first = range.first;
-            match rng.gen_usize(0, 16) {
-                0..=7 => Op::ProbeRange(range),
-                8..=10 => Op::Probe(first),
-                11..=12 => Op::InvalidateRange(range),
-                13..=14 => Op::Invalidate(first),
-                _ => Op::Flush,
+    let mut ops: Vec<Op> = (0..rng.gen_usize(0, 6)).map(|_| gen_call(rng, sets, ways, &mut starts)).collect();
+    let step: Vec<Op> = (0..rng.gen_usize(1, 13)).map(|_| gen_call(rng, sets, ways, &mut starts)).collect();
+    for _ in 0..rng.gen_usize(1, 8) {
+        let mut made = step.clone();
+        let at = rng.gen_usize(0, made.len());
+        match rng.gen_usize(0, 12) {
+            0..=5 => {}
+            6 => made[at] = gen_call(rng, sets, ways, &mut starts),
+            7 => made.insert(at, gen_call(rng, sets, ways, &mut starts)),
+            8 => {
+                made.remove(at);
             }
-        })
-        .collect();
+            9 => made.truncate(at),
+            10 => made.insert(at, Op::Flush),
+            _ => {
+                let range = gen_range(rng, sets, ways, &mut starts);
+                made.insert(at, if rng.gen_bool(0.5) { Op::InvalidateRange(range) } else { Op::Invalidate(range.first) });
+            }
+        }
+        ops.push(Op::BeginStep);
+        ops.extend(made);
+    }
     Case { sets, ways, ops }
 }
 
@@ -182,8 +212,9 @@ fn cache_filter_matches_textbook_lru() {
     check("cache_filter_matches_textbook_lru", gen_case, shrink_case, |c| {
         let spec = spec(c.sets, c.ways);
         prop_assert_eq!(spec.sets(), c.sets);
-        // `batched` takes the range calls; `per_page` replays them one page
-        // at a time, the way `MemorySystem::access_per_page` does.
+        // `batched` takes the range calls and the step boundaries; `per_page`
+        // replays the calls one page at a time, the way
+        // `MemorySystem::access_per_page` does, and never hears of steps.
         let mut batched = CacheFilter::new(spec);
         let mut per_page = CacheFilter::new(spec);
         let mut lru = Lru::new(c.sets, c.ways);
@@ -195,7 +226,9 @@ fn cache_filter_matches_textbook_lru() {
                     for p in range.iter() {
                         per_page.probe(p);
                     }
-                    prop_assert_eq!(got.hit_pages, want, "op {n}: hits of {range}");
+                    let maximal = got.hit_runs.windows(2).all(|w| w[0].end() < w[1].first);
+                    prop_assert!(maximal && got.hit_runs.iter().all(|r| r.count > 0), "op {n}: hit runs of {range} are not maximal: {runs:?}", runs = got.hit_runs);
+                    prop_assert_eq!(pages(&got.hit_runs), want, "op {n}: hits of {range}");
                     let misses = range.count - got.hits();
                     prop_assert_eq!(got.misses, misses, "op {n}: misses of {range}");
                 }
@@ -221,6 +254,7 @@ fn cache_filter_matches_textbook_lru() {
                     per_page.flush();
                     lru.flush();
                 }
+                Op::BeginStep => batched.begin_step(),
             }
             prop_assert_eq!(batched.hits(), lru.hits, "op {n}: hit counter");
             prop_assert_eq!(batched.misses(), lru.misses, "op {n}: miss counter");
@@ -230,9 +264,14 @@ fn cache_filter_matches_textbook_lru() {
         // sets must agree too, not just the outcomes seen so far.
         let all = PageRange::new(0, 7 * (c.sets * c.ways) as u64);
         let want: Vec<u64> = all.iter().filter(|&p| lru.probe(p)).collect();
-        prop_assert_eq!(batched.probe_range(all).hit_pages, want, "final sweep");
+        prop_assert_eq!(pages(&batched.probe_range(all).hit_runs), want, "final sweep");
         Ok(())
     });
+}
+
+/// The pages of `runs`, in order.
+fn pages(runs: &[PageRange]) -> Vec<u64> {
+    runs.iter().flat_map(PageRange::iter).collect()
 }
 
 /// One timed access of a Memory-Mode stream.

@@ -21,15 +21,14 @@ struct Stage {
     kind: OpKind,
 }
 
+/// One conv stage from `cin` to `cout` channels at `hw × hw` resolution.
 fn conv_stage(
     net: &mut Net,
     name: &str,
     kind: OpKind,
     x: TensorId,
     x_elems: u64,
-    cin: u64,
-    cout: u64,
-    hw: u64,
+    (cin, cout, hw): (u64, u64, u64),
     batch: u64,
 ) -> Stage {
     let w_elems = 4 * 4 * cin * cout;
@@ -66,7 +65,7 @@ pub(crate) fn build(spec: &ModelSpec) -> Result<Graph, GraphError> {
     let mut cin = nz;
     for (i, &(ch_full, hw)) in GEN.iter().enumerate() {
         let ch = if ch_full == 3 { 3 } else { net.dim(ch_full) };
-        let s = conv_stage(&mut net, &format!("g{i}"), OpKind::ConvTranspose2d, x, x_elems, cin, ch, hw, b);
+        let s = conv_stage(&mut net, &format!("g{i}"), OpKind::ConvTranspose2d, x, x_elems, (cin, ch, hw), b);
         x = s.out;
         x_elems = s.out_elems;
         cin = ch;
@@ -82,7 +81,7 @@ pub(crate) fn build(spec: &ModelSpec) -> Result<Graph, GraphError> {
     let mut dcin = 3;
     for (i, &(ch_full, hw)) in DIS.iter().enumerate() {
         let ch = if ch_full == 1 { 1 } else { net.dim(ch_full) };
-        let s = conv_stage(&mut net, &format!("d{i}"), OpKind::Conv2d, dxx, dx_elems, dcin, ch, hw, b);
+        let s = conv_stage(&mut net, &format!("d{i}"), OpKind::Conv2d, dxx, dx_elems, (dcin, ch, hw), b);
         dxx = s.out;
         dx_elems = s.out_elems;
         dcin = ch;

@@ -265,7 +265,7 @@ fn build_runtime(
     };
     let mut runtime = SentinelRuntime::new(spec.config.clone(), hm).with_trace(spec.trace);
     if let Some((profile, seed)) = &spec.fault {
-        runtime = runtime.with_fault_injection(profile.clone(), *seed);
+        runtime = runtime.with_fault_injection(*profile, *seed);
     }
     Ok((graph, runtime))
 }

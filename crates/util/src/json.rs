@@ -929,13 +929,10 @@ mod tests {
     }
 
     fn dismantle(mut j: Json) {
-        loop {
-            match j {
-                Json::Arr(mut items) => match items.pop() {
-                    Some(inner) => j = inner, // the emptied wrapper drops O(1)
-                    None => break,
-                },
-                _ => break,
+        while let Json::Arr(mut items) = j {
+            match items.pop() {
+                Some(inner) => j = inner, // the emptied wrapper drops O(1)
+                None => break,
             }
         }
     }

@@ -71,7 +71,10 @@ fn gen_string(rng: &mut Rng) -> String {
                 s.extend((0..rng.gen_usize(16, 200)).map(|i| char::from(b'a' + (i % 26) as u8)));
                 s.push(edge(rng));
             }
-            _ => s.push_str(*rng.choose(ALPHABET)),
+            _ => {
+                let &word = rng.choose(ALPHABET);
+                s.push_str(word);
+            }
         }
     }
     s

@@ -14,16 +14,8 @@ cargo test -q --offline
 echo "== rustdoc: public docs build without warnings (dangling links fail) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-echo "== clippy: every workspace target lints without errors =="
-# Clippy's deny-by-default lints fail the step; its warnings are reported
-# but do not.
-cargo clippy --workspace --all-targets --offline
-
-echo "== clippy: the training-path libraries lint without warnings =="
-# The libraries every training step runs through are held warning-free;
-# the step above stays warn-only for the other targets.
-cargo clippy -p sentinel-util -p sentinel-mem -p sentinel-dnn -p sentinel-profiler \
-    -p sentinel-core --lib --offline -- -D warnings
+echo "== clippy: every workspace target lints without warnings =="
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 repo_root=$PWD
 trace_tmp=$(mktemp -d)
@@ -140,8 +132,10 @@ echo "== perfbench gate: simulated output matches the stored references =="
 # traced training reports to equal the untraced ones. The traced deep-plan
 # run rebuilds `Schedule::new` on its own, checks `solve_mil` against the
 # run's plan, and requires its hook-wrapped training reports to equal the
-# untraced ones.
-for run in zoo-steady:0 deep-plan:0 sentineld-mix:0 experiments-fast:0 sentineld-mix:1 deep-plan:1; do
+# untraced ones. The traced zoo-steady run drives the steps that the cache
+# filter replays through the same hook wrapper, and requires its reports to
+# equal untraced `SentinelRuntime::train`.
+for run in zoo-steady:0 deep-plan:0 sentineld-mix:0 experiments-fast:0 sentineld-mix:1 deep-plan:1 zoo-steady:1; do
     workload=${run%:*}
     trace=${run#*:}
     if ! bench_out=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml \

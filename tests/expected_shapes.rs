@@ -141,8 +141,8 @@ fn fig12_sentinel_gpu_competitive_and_vdnn_worst() {
     let mean = |p: usize| sums[p] / counts[p] as f64;
     let (vdnn, capuchin, sentinel) = (mean(0), mean(3), mean(4));
     let best = (0..5).map(mean).fold(f64::MIN, f64::max);
-    for p in 1..5 {
-        assert!(vdnn <= mean(p), "vDNN mean ({vdnn:.3}) should be the weakest, but beats {}", policies[p]);
+    for (p, policy) in policies.iter().enumerate().skip(1) {
+        assert!(vdnn <= mean(p), "vDNN mean ({vdnn:.3}) should be the weakest, but beats {policy}");
     }
     assert!(sentinel >= capuchin, "Sentinel-GPU mean ({sentinel:.3}) fell behind Capuchin ({capuchin:.3})");
     assert!(sentinel >= 0.9 * best, "Sentinel-GPU mean ({sentinel:.3}) more than 10% behind the best policy ({best:.3})");
@@ -203,7 +203,7 @@ fn cluster_schema_and_contention_shape() {
         // p50/p99 reconcile with the raw per-step series (nearest rank).
         let steps = match t.get("step_ns") {
             Some(Json::Arr(vals)) => {
-                vals.iter().map(|v| num_val(v)).collect::<Vec<f64>>()
+                vals.iter().map(num_val).collect::<Vec<f64>>()
             }
             other => panic!("tenant {i}: step_ns is not an array: {other:?}"),
         };
