@@ -19,9 +19,29 @@
 //! *is* completion order within a lane. A drain pops each lane's completed
 //! prefix, a cancel splits off each lane's pending suffix, and both sort the
 //! few batches they return by id, so callers see issue order across lanes.
-//! A poll with nothing landed is one compare per lane and allocates
-//! nothing. [`MigrationEngine::drain_completed_scan`] tests every batch
-//! without assuming lane order; it is the reference the drain is pinned to.
+//! A poll with nothing landed is a compare and a flag test per lane and
+//! allocates nothing. [`MigrationEngine::drain_completed_scan`] tests every
+//! batch without assuming lane order; it is the reference the drain is
+//! pinned to.
+//!
+//! ## Page-by-page batches
+//!
+//! One entry may stand for a run of one-page copies issued back to back on
+//! a plain lane ([`MigrationEngine::enqueue_page_by_page`]): page `i` of the
+//! run has id `id + i`, starts at `started_at + i · period` and lands at
+//! `started_at + (i + 1) · period`. That is exactly the `count` one-page
+//! batches [`MigrationEngine::enqueue`] would make when called once per page
+//! at the same `now`: after the first page the lane is busy until the
+//! previous page lands, so each page starts where the last one ended. The
+//! entry reserves its `count` ids up front, so no other batch's id falls
+//! inside its run and sorting entries by first id still sorts their pages
+//! by id. A drain or cancel that falls inside such an entry splits it at
+//! the last page landed by `now`: the landed prefix drains (or stays queued,
+//! for a cancel) as one entry and the rest keeps its per-page times. So every
+//! observable — ids, landing times, lane reservations, `range_ready_at` —
+//! equals the one-page batches', while an abort that re-issues thousands of
+//! pages holds them as a few entries. [`InFlight::pages`] expands an entry
+//! into those one-page batches.
 
 use crate::{Ns, PageRange, Tier};
 use std::collections::VecDeque;
@@ -102,6 +122,71 @@ pub struct InFlight {
     /// Whether an injected fault made this copy fail: at `ready_at` the
     /// pages have *not* moved and the owner must retry or abandon.
     pub failed: bool,
+    /// Whether the entry is a *page-by-page batch*: `range.count` one-page
+    /// copies with ids `id..id + range.count`, page `i` starting at
+    /// `started_at + i · period` and landing at `started_at + (i + 1) ·
+    /// period`, where `period = (ready_at − started_at) / range.count`. Such
+    /// a batch is always plain, unperturbed and a first attempt. A one-page
+    /// batch means the same either way.
+    pub page_by_page: bool,
+}
+
+impl InFlight {
+    /// The batch as the one-page batches it stands for, in id order: each
+    /// page of a page-by-page batch, or the batch itself otherwise.
+    pub fn pages(&self) -> impl Iterator<Item = InFlight> + '_ {
+        let (count, period) = if self.page_by_page { (self.range.count, self.period()) } else { (1, 0) };
+        (0..count).map(move |i| {
+            if !self.page_by_page {
+                return self.clone();
+            }
+            let started_at = self.started_at + i * period;
+            InFlight {
+                id: self.id + i,
+                range: PageRange::new(self.range.first + i, 1),
+                started_at,
+                ready_at: started_at + period,
+                page_by_page: false,
+                ..self.clone()
+            }
+        })
+    }
+
+    /// One page's copy time in a page-by-page batch.
+    fn period(&self) -> Ns {
+        (self.ready_at - self.started_at) / self.range.count
+    }
+
+    /// When the page at offset `i` of the batch lands.
+    fn landing(&self, i: u64) -> Ns {
+        if self.page_by_page {
+            self.started_at + (i + 1) * self.period()
+        } else {
+            self.ready_at
+        }
+    }
+
+    /// Split off the pages landed by `now`, if any: the whole batch, which
+    /// leaves `self` empty, or a page-by-page batch's landed prefix, which
+    /// leaves `self` the rest with its per-page times unchanged.
+    fn take_landed(&mut self, now: Ns) -> Option<InFlight> {
+        if self.ready_at <= now {
+            let all = self.clone();
+            self.range.count = 0;
+            return Some(all);
+        }
+        if !self.page_by_page || now < self.landing(0) {
+            return None;
+        }
+        // `landing(0) <= now < ready_at`, so the period is positive.
+        let landed = (now - self.started_at) / self.period();
+        let cut = self.started_at + landed * self.period();
+        let prefix = InFlight { range: PageRange::new(self.range.first, landed), ready_at: cut, ..self.clone() };
+        self.id += landed;
+        self.range = PageRange::new(self.range.first + landed, self.range.count - landed);
+        self.started_at = cut;
+        Some(prefix)
+    }
 }
 
 /// One serial copy lane: its in-flight batches in issue order, which is
@@ -115,6 +200,31 @@ struct Lane {
     /// Latest completion drained from the lane. A cancel keeps the lane
     /// booked at least this long: finished copies used that channel time.
     done_at: Ns,
+}
+
+impl Lane {
+    /// Queue a batch behind the lane's last one and book the lane until it
+    /// lands.
+    fn push(&mut self, batch: InFlight) {
+        debug_assert!(
+            self.queue.back().is_none_or(|f| f.started_at <= batch.started_at && f.ready_at <= batch.ready_at),
+            "a lane's batches must start and complete in issue order"
+        );
+        self.busy_until = batch.ready_at;
+        self.queue.push_back(batch);
+    }
+
+    /// Take what has landed by `now` of the lane's front batch: all of it
+    /// or, for a page-by-page batch, its landed prefix.
+    fn pop_landed(&mut self, now: Ns) -> Option<InFlight> {
+        let front = self.queue.front_mut()?;
+        let batch = front.take_landed(now)?;
+        if front.range.is_empty() {
+            self.queue.pop_front();
+        }
+        self.done_at = batch.ready_at;
+        Some(batch)
+    }
 }
 
 /// Two independent directional migration channels with bandwidth accounting.
@@ -199,26 +309,13 @@ impl MigrationEngine {
     ) -> MigrationTicket {
         let bytes = range.bytes(self.page_size);
         let dir = direction.index();
-        // The exact historical expression when the share is whole, so a
-        // 1/1-share engine stays byte-identical to one without the feature.
-        let copy_ns = if self.lane_share == (1, 1) {
-            (bytes as f64 / self.bw[dir]).ceil() as Ns
-        } else {
-            let (num, den) = self.lane_share;
-            let effective_bw = self.bw[dir] * num as f64 / den as f64;
-            (bytes as f64 / effective_bw).ceil() as Ns
-        };
+        let copy_ns = self.copy_ns(bytes, dir);
         let lane = &mut self.lanes[usize::from(urgent)][dir];
         let start = now.max(lane.busy_until);
         let ready_at = start + self.setup_ns + extra_ns + copy_ns;
-        debug_assert!(
-            lane.queue.back().is_none_or(|f| f.started_at <= start && f.ready_at <= ready_at),
-            "a lane's batches must start and complete in issue order"
-        );
-        lane.busy_until = ready_at;
         let id = self.next_id;
         self.next_id += 1;
-        lane.queue.push_back(InFlight {
+        lane.push(InFlight {
             id,
             range,
             direction,
@@ -227,26 +324,72 @@ impl MigrationEngine {
             urgent,
             attempt,
             failed,
+            page_by_page: false,
         });
         MigrationTicket { id, ready_at, pages: range.count, bytes }
     }
 
-    /// Earliest completion time of any in-flight batch: the next migration
-    /// event for event-driven callers. Each lane's front is its earliest.
+    /// Issue `range` as a page-by-page batch on the plain lane: the same
+    /// copies, ids and times as calling [`MigrationEngine::enqueue`] once per
+    /// page at `now`, held as one entry. Returns the entry, whose
+    /// [`InFlight::pages`] give each page's id and landing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is empty.
+    pub fn enqueue_page_by_page(&mut self, range: PageRange, direction: Direction, now: Ns) -> InFlight {
+        assert!(!range.is_empty(), "a page-by-page batch needs at least one page");
+        let dir = direction.index();
+        let period = self.setup_ns + self.copy_ns(self.page_size, dir);
+        let lane = &mut self.lanes[0][dir];
+        let start = now.max(lane.busy_until);
+        let batch = InFlight {
+            id: self.next_id,
+            range,
+            direction,
+            started_at: start,
+            ready_at: start + range.count * period,
+            urgent: false,
+            attempt: 0,
+            failed: false,
+            page_by_page: true,
+        };
+        self.next_id += range.count;
+        lane.push(batch.clone());
+        batch
+    }
+
+    /// Copy time of `bytes` on direction `dir`'s channel at the current
+    /// lane share.
+    fn copy_ns(&self, bytes: u64, dir: usize) -> Ns {
+        // The exact historical expression when the share is whole, so a
+        // 1/1-share engine stays byte-identical to one without the feature.
+        if self.lane_share == (1, 1) {
+            (bytes as f64 / self.bw[dir]).ceil() as Ns
+        } else {
+            let (num, den) = self.lane_share;
+            let effective_bw = self.bw[dir] * num as f64 / den as f64;
+            (bytes as f64 / effective_bw).ceil() as Ns
+        }
+    }
+
+    /// Earliest completion time of any in-flight batch (a page-by-page
+    /// batch's first page): the next migration event for event-driven
+    /// callers. Each lane's front is its earliest.
     #[must_use]
     pub fn next_ready_at(&self) -> Option<Ns> {
-        self.lanes.iter().flatten().filter_map(|lane| lane.queue.front()).map(|f| f.ready_at).min()
+        self.lanes.iter().flatten().filter_map(|lane| lane.queue.front()).map(|f| f.landing(0)).min()
     }
 
     /// Remove and return every batch completed by `now`, in issue order:
-    /// each lane's completed prefix, merged by id.
+    /// each lane's completed prefix, merged by id. A page-by-page batch
+    /// partly landed at the front of its lane gives up its landed pages as
+    /// one batch.
     pub fn drain_completed(&mut self, now: Ns) -> Vec<InFlight> {
         let mut done = Vec::new();
         for lane in self.lanes.iter_mut().flatten() {
-            while lane.queue.front().is_some_and(|f| f.ready_at <= now) {
-                let f = lane.queue.pop_front().expect("the front was just read");
-                lane.done_at = f.ready_at;
-                done.push(f);
+            while let Some(batch) = lane.pop_landed(now) {
+                done.push(batch);
             }
         }
         done.sort_unstable_by_key(|f| f.id);
@@ -254,7 +397,8 @@ impl MigrationEngine {
     }
 
     /// Remove and return every batch completed by `now`, in issue order,
-    /// testing every batch of every lane without assuming lane order.
+    /// testing every batch of every lane without assuming lane order, and
+    /// splitting every partly landed page-by-page batch.
     ///
     /// The reference path, kept so the engine property in
     /// `tests/chaos_migration.rs` can pin [`MigrationEngine::drain_completed`]
@@ -263,11 +407,12 @@ impl MigrationEngine {
         let mut done = Vec::new();
         for lane in self.lanes.iter_mut().flatten() {
             let mut kept = VecDeque::new();
-            for f in lane.queue.drain(..) {
-                if f.ready_at <= now {
-                    lane.done_at = lane.done_at.max(f.ready_at);
-                    done.push(f);
-                } else {
+            for mut f in lane.queue.drain(..) {
+                if let Some(landed) = f.take_landed(now) {
+                    lane.done_at = lane.done_at.max(landed.ready_at);
+                    done.push(landed);
+                }
+                if !f.range.is_empty() {
                     kept.push_back(f);
                 }
             }
@@ -289,13 +434,19 @@ impl MigrationEngine {
     /// post-cancel enqueue double-book bandwidth a kept or drained batch
     /// still occupies, and would charge the channel for future-issued
     /// batches that never started.
+    ///
+    /// A page-by-page batch with some pages landed is split: the landed
+    /// prefix stays queued for the next drain and the rest is cancelled.
     pub fn cancel_pending(&mut self, now: Ns) -> Vec<InFlight> {
         let mut cancelled = Vec::new();
         for lane in self.lanes.iter_mut().flatten() {
-            let pending = lane.queue.split_off(lane.queue.partition_point(|f| f.ready_at <= now));
+            let mut pending = lane.queue.split_off(lane.queue.partition_point(|f| f.ready_at <= now));
+            if let Some(landed) = pending.front_mut().and_then(|f| f.take_landed(now)) {
+                lane.queue.push_back(landed);
+            }
             let kept_until = lane.queue.back().map_or(0, |f| f.ready_at);
             // Starts never decrease along a lane: the first pending batch
-            // is the one that may have started.
+            // (or page) is the one that may have started.
             let mid_copy = pending.front().is_some_and(|f| f.started_at < now);
             lane.busy_until = lane.done_at.max(kept_until).max(if mid_copy { now } else { 0 });
             cancelled.extend(pending);
@@ -329,10 +480,15 @@ impl MigrationEngine {
         self.lanes.iter().flatten().flat_map(|lane| &lane.queue)
     }
 
-    /// Latest completion time of any batch overlapping `range`, if one exists.
+    /// Latest completion time of any batch overlapping `range`, if one
+    /// exists: for a page-by-page batch, the landing of its last page inside
+    /// `range`.
     #[must_use]
     pub fn range_ready_at(&self, range: PageRange) -> Option<Ns> {
-        self.in_flight().filter(|f| f.range.overlaps(&range)).map(|f| f.ready_at).max()
+        self.in_flight()
+            .filter(|f| f.range.overlaps(&range))
+            .map(|f| f.landing(f.range.end().min(range.end()) - 1 - f.range.first))
+            .max()
     }
 }
 
@@ -404,14 +560,39 @@ mod tests {
             e.enqueue(PageRange::new(1, 1), Direction::Demote, 0);
             e.enqueue_urgent(PageRange::new(2, 1), Direction::Promote, 0);
             e.enqueue_perturbed(PageRange::new(3, 2), Direction::Demote, 0, true, 50, true, 1);
+            e.enqueue_page_by_page(PageRange::new(5, 3), Direction::Demote, 0);
             e
         };
         let (mut indexed, mut scanned) = (build(), build());
-        for cut in [0, 4_196, 5_000, 9_000, 20_000, 40_000] {
+        for cut in [0, 4_196, 5_000, 9_000, 12_588, 20_000, 40_000] {
             assert_eq!(indexed.drain_completed(cut), scanned.drain_completed_scan(cut), "cut {cut}");
             assert_eq!(indexed.next_ready_at(), scanned.next_ready_at(), "cut {cut}");
         }
         assert!(!indexed.has_in_flight());
+    }
+
+    #[test]
+    fn page_by_page_batch_lands_and_cancels_page_by_page() {
+        let mut e = engine();
+        let batch = e.enqueue_page_by_page(PageRange::new(0, 4), Direction::Promote, 0);
+        assert_eq!((batch.id, batch.ready_at), (0, 4 * 4_196));
+        let landings: Vec<_> = batch.pages().map(|f| (f.id, f.ready_at)).collect();
+        assert_eq!(landings, [(0, 4_196), (1, 8_392), (2, 12_588), (3, 16_784)]);
+        assert_eq!(e.next_ready_at(), Some(4_196));
+        assert_eq!(e.range_ready_at(PageRange::new(1, 2)), Some(12_588));
+        // A drain between landings takes the landed prefix as one batch.
+        let done = e.drain_completed(9_000);
+        assert_eq!(done.len(), 1);
+        assert_eq!((done[0].id, done[0].range, done[0].ready_at), (0, PageRange::new(0, 2), 8_392));
+        assert_eq!(e.next_ready_at(), Some(12_588));
+        // A cancel keeps the landed page queued and cancels the copy under way.
+        let cancelled = e.cancel_pending(13_000);
+        assert_eq!(cancelled.len(), 1);
+        assert_eq!((cancelled[0].id, cancelled[0].range, cancelled[0].started_at), (3, PageRange::new(3, 1), 12_588));
+        assert_eq!(e.busy_until(Direction::Promote), 13_000);
+        assert_eq!(e.drain_completed(13_000)[0].range, PageRange::new(2, 1));
+        // The batch reserved an id per page.
+        assert_eq!(e.enqueue(PageRange::new(9, 1), Direction::Promote, 13_000).id, 4);
     }
 
     #[test]

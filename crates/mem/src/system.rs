@@ -673,12 +673,31 @@ impl MemorySystem {
         if range.count > free {
             return Err(MemError::CapacityExceeded { tier: dest, requested_pages: range.count, free_pages: free });
         }
+        let perturbation = self.draw_migration_perturbation();
+        Ok(self.issue(range, dest, now, urgent, perturbation))
+    }
+
+    /// Reserve `dest` frames for `range`, flag its pages in flight and hand
+    /// it to the engine as one batch carrying `perturbation`.
+    fn issue(&mut self, range: PageRange, dest: Tier, now: Ns, urgent: bool, perturbation: (Ns, bool)) -> MigrationTicket {
+        self.reserve_in_flight(range, dest);
+        let direction = Direction::into_tier(dest);
+        let (extra_ns, failed) = perturbation;
+        let ticket = self.engine.enqueue_perturbed(range, direction, now, urgent, extra_ns, failed, 0);
+        self.record_issue(now, ticket, range.first, direction, urgent, perturbation);
+        ticket
+    }
+
+    /// Reserve `dest` frames for `range` and flag its pages in flight.
+    fn reserve_in_flight(&mut self, range: PageRange, dest: Tier) {
         self.used_pages[dest.index()] += range.count;
         self.stats.observe_mapped(self.used_pages);
         self.table.set_in_flight(range, true);
-        let direction = Direction::into_tier(dest);
-        let (extra_ns, failed) = self.draw_migration_perturbation();
-        let ticket = self.engine.enqueue_perturbed(range, direction, now, urgent, extra_ns, failed, 0);
+    }
+
+    /// What follows each issued batch: its `issue` instant, then a sampled
+    /// sanitizer event.
+    fn record_issue(&mut self, now: Ns, ticket: MigrationTicket, first: u64, direction: Direction, urgent: bool, perturbation: (Ns, bool)) {
         if self.tracer.enabled() {
             self.tracer.instant(
                 TraceTrack::Migration,
@@ -687,18 +706,17 @@ impl MemorySystem {
                 now,
                 vec![
                     ("id", Json::U64(ticket.id)),
-                    ("first", Json::U64(range.first)),
-                    ("pages", Json::U64(range.count)),
+                    ("first", Json::U64(first)),
+                    ("pages", Json::U64(ticket.pages)),
                     ("direction", Json::Str(direction_name(direction).into())),
                     ("urgent", Json::Bool(urgent)),
                     ("ready_at", Json::U64(ticket.ready_at)),
-                    ("injected_stall_ns", Json::U64(extra_ns)),
-                    ("injected_failure", Json::Bool(failed)),
+                    ("injected_stall_ns", Json::U64(perturbation.0)),
+                    ("injected_failure", Json::Bool(perturbation.1)),
                 ],
             );
         }
         self.sanitize_event();
-        Ok(ticket)
     }
 
     fn draw_migration_perturbation(&mut self) -> (Ns, bool) {
@@ -742,16 +760,26 @@ impl MemorySystem {
         }
     }
 
-    /// Returns `true` when the batch was abandoned (retries exhausted).
+    /// Returns `true` when the batch was abandoned (retries exhausted). A
+    /// page-by-page batch lands one page at a time, as the one-page batches
+    /// it stands for.
     fn apply_completion(&mut self, done: &InFlight) -> bool {
         if done.failed {
             return self.handle_failed_batch(done);
         }
+        for batch in done.pages() {
+            self.land(&batch);
+        }
+        false
+    }
+
+    /// Move the pages of a batch that landed without a failure.
+    fn land(&mut self, done: &InFlight) {
         let dest = done.direction.dest();
         let src = done.direction.source();
         let mut moved_pages = 0u64;
-        let runs: Vec<PteRun> = self.table.runs_in(done.range).collect();
-        for run in runs {
+        let mut rest = done.range;
+        while let Some(run) = self.next_run(&mut rest) {
             if !run.pte.in_flight {
                 continue; // aborted (page freed mid-copy) or never reserved
             }
@@ -791,7 +819,14 @@ impl MemorySystem {
                 self.trace_used_pages(done.ready_at);
             }
         }
-        false
+    }
+
+    /// Take the first equal-PTE run off the front of `rest`, so a loop that
+    /// rewrites the table can walk a range's runs in place.
+    fn next_run(&self, rest: &mut PageRange) -> Option<PteRun> {
+        let run = self.table.runs_in(*rest).next()?;
+        *rest = PageRange::new(run.range.end(), rest.end() - run.range.end());
+        Some(run)
     }
 
     /// A batch whose copy failed: no pages moved. Re-enqueue the parts still
@@ -872,9 +907,12 @@ impl MemorySystem {
     /// pages stopped.
     fn roll_back(&mut self, batch: &InFlight) -> u64 {
         let mut pages = 0;
-        for sub in self.moving_subranges(batch.range) {
-            self.table.set_in_flight(sub, false);
-            pages += sub.count;
+        let mut rest = batch.range;
+        while let Some(run) = self.next_run(&mut rest) {
+            if run.pte.in_flight {
+                self.table.set_in_flight(run.range, false);
+                pages += run.range.count;
+            }
         }
         self.used_pages[batch.direction.dest().index()] -= pages;
         pages
@@ -930,38 +968,113 @@ impl MemorySystem {
     ///
     /// This cancels *every* batch still pending at `now`, overlapping or
     /// not, and re-issues each of their pages outside `range` as its own
-    /// single-page batch, which pays the setup cost again and may complete
-    /// later than the batch it replaces. Aborting only the overlapping
+    /// single-page copy, which pays the setup cost again and may complete
+    /// later than the batch it replaces. The copies of one run are held as
+    /// one page-by-page batch (see [`InFlight::page_by_page`]), which times
+    /// them exactly as one-page batches. Aborting only the overlapping
     /// batches is ROADMAP item 1.
     pub fn cancel_overlapping(&mut self, range: PageRange, now: Ns) {
         self.abort_migrations_overlapping(range, now);
     }
 
+    /// [`MemorySystem::cancel_overlapping`] re-issuing each surviving page
+    /// through [`MemorySystem::migrate`] as its own one-page batch.
+    ///
+    /// The per-page reference, kept so the system property in
+    /// `tests/access_equivalence_prop.rs` can pin the run-by-run abort to
+    /// it.
+    pub fn cancel_overlapping_per_page(&mut self, range: PageRange, now: Ns) {
+        for batch in self.cancel_and_roll_back(now) {
+            let dest = batch.direction.dest();
+            for p in batch.range.iter().filter(|&p| !range.contains(p)) {
+                // Best-effort: if re-issue fails, the page simply stays put.
+                let _ = self.migrate(PageRange::new(p, 1), dest, now);
+            }
+        }
+        self.sanitize_rare();
+    }
+
     fn abort_migrations_overlapping(&mut self, range: PageRange, now: Ns) {
+        // Re-issue, in id order, each cancelled batch's pages outside the
+        // aborted range: at most two runs, before it and after it. Each page
+        // is still its own copy paying its own setup, as `migrate` would
+        // issue it one page at a time; a run is only *held* as one
+        // page-by-page batch.
+        for batch in self.cancel_and_roll_back(now) {
+            let dest = batch.direction.dest();
+            let (first, end) = (batch.range.first, batch.range.end());
+            let cut = range.first.clamp(first, end);
+            let resume = range.end().clamp(first, end);
+            for run in [PageRange::new(first, cut - first), PageRange::new(resume, end - resume)] {
+                self.reissue_run(run, dest, now);
+            }
+        }
+        self.sanitize_rare();
+    }
+
+    /// Poll, then cancel every pending batch and roll back its flags and
+    /// destination reservations, so the table and engine agree again before
+    /// any re-issue runs (the re-issues' sanitizer hook must observe a
+    /// consistent state). Returns the cancelled batches in id order.
+    fn cancel_and_roll_back(&mut self, now: Ns) -> Vec<InFlight> {
         self.poll(now);
-        // Cancel all pending batches and roll back their flags and
-        // destination reservations *first*, so the table and engine agree
-        // again before any re-issue runs (the re-issues below go through
-        // `migrate`, whose sanitizer hook must observe a consistent state).
         let pending = self.engine.cancel_pending(now);
         for batch in &pending {
             self.roll_back(batch);
         }
-        // Re-issue sub-ranges that do not overlap the range being
-        // unmapped. Deliberately per page: each single-page batch pays
-        // its own setup cost in the engine, and collapsing them into
-        // wider batches would change migration timing.
-        for batch in pending {
-            let dest = batch.direction.dest();
-            for p in batch.range.iter() {
-                if !range.contains(p) {
-                    let sub = PageRange::new(p, 1);
-                    // Best-effort: if re-issue fails, the page simply stays put.
-                    let _ = self.migrate(sub, dest, now);
+        pending
+    }
+
+    /// Re-issue the pages of `run` that a one-page [`MemorySystem::migrate`]
+    /// into `dest` would accept: those mapped in the source tier and not in
+    /// flight, while `dest` has a free page. Nothing frees a page during the
+    /// re-issue, so those are the first `free_pages(dest)` eligible pages.
+    fn reissue_run(&mut self, run: PageRange, dest: Tier, now: Ns) {
+        for eligible in self.subranges_in_tier(run, dest.other()) {
+            let free = self.free_pages(dest);
+            if free == 0 {
+                return;
+            }
+            self.reissue_pages(PageRange::new(eligible.first, eligible.count.min(free)), dest, now);
+        }
+    }
+
+    /// Issue each page of `pages` as its own copy. With a fault injector,
+    /// one perturbation is drawn per page, in page order, as `migrate`
+    /// draws it; a page drawn with a stall or a failure is issued as its own
+    /// perturbed batch. The clean pages between form page-by-page batches.
+    fn reissue_pages(&mut self, pages: PageRange, dest: Tier, now: Ns) {
+        let mut clean = pages.first;
+        if self.injector.is_some() {
+            for p in pages.iter() {
+                let perturbation = self.draw_migration_perturbation();
+                if perturbation != (0, false) {
+                    self.issue_page_by_page(PageRange::new(clean, p - clean), dest, now);
+                    self.issue(PageRange::new(p, 1), dest, now, false, perturbation);
+                    clean = p + 1;
                 }
             }
         }
-        self.sanitize_rare();
+        self.issue_page_by_page(PageRange::new(clean, pages.end() - clean), dest, now);
+    }
+
+    /// Reserve, flag and enqueue `range` as one page-by-page batch, then
+    /// trace and sanitize each page as `migrate` would have after issuing
+    /// it; that loop is skipped when neither is on.
+    fn issue_page_by_page(&mut self, range: PageRange, dest: Tier, now: Ns) {
+        if range.is_empty() {
+            return;
+        }
+        self.reserve_in_flight(range, dest);
+        let direction = Direction::into_tier(dest);
+        let batch = self.engine.enqueue_page_by_page(range, direction, now);
+        if self.tracer.enabled() || self.sanitizer != SanitizerMode::Off {
+            let bytes = self.cfg.page_size;
+            for page in batch.pages() {
+                let ticket = MigrationTicket { id: page.id, ready_at: page.ready_at, pages: 1, bytes };
+                self.record_issue(now, ticket, page.range.first, direction, false, (0, false));
+            }
+        }
     }
 
     /// Mark the start of a training step. Nothing observable changes: the

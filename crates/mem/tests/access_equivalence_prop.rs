@@ -6,16 +6,21 @@
 //! properties drive both over randomized layouts and access streams and
 //! require *identical* observable behaviour: every `AccessReport`, the
 //! aggregate stats, the traffic timeline, the page table, and the internal
-//! state of the cache filter, profiler and Memory-Mode cache. A last
+//! state of the cache filter, profiler and Memory-Mode cache. A further
 //! property holds `MemorySystem::begin_step` to the same standard: marking
 //! training steps, which lets the cache filter replay a repeated step, must
-//! change nothing observable.
+//! change nothing observable. The last one pins the migration abort, which
+//! holds each re-issued run as one page-by-page batch, to
+//! `MemorySystem::cancel_overlapping_per_page`, the kept reference that
+//! re-issues each page through `migrate`.
 
 use sentinel_mem::{
-    AccessKind, CacheFilterSpec, HmConfig, MemoryModeSpec, MemorySystem, PageRange, Tier,
+    AccessKind, CacheFilterSpec, FaultInjector, FaultProfile, HmConfig, MemoryModeSpec,
+    MemorySystem, PageRange, PageState, Pte, SanitizerMode, Tier, TraceHandle, TraceLevel,
 };
 use sentinel_util::prop::check;
-use sentinel_util::{prop_assert_eq, Rng};
+use sentinel_util::{prop_assert, prop_assert_eq, Json, Rng};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One timed access of the stream.
 #[derive(Clone, Debug)]
@@ -387,4 +392,228 @@ fn marking_steps_changes_nothing() {
         prop_assert_eq!(stepped.unmapped_accesses(), plain.unmapped_accesses());
         Ok(())
     });
+}
+
+/// One operation of an abort stream. Each acts on the sub-ranges of its
+/// `(first, count)` where it can: the unmapped runs for a map, the mapped
+/// runs for an unmap, the runs movable to the destination for a migration.
+#[derive(Clone, Debug)]
+enum AbortOp {
+    /// `(first, count, to_fast)`; a run the fast tier refuses goes slow.
+    Map(u64, u64, bool),
+    Unmap(u64, u64),
+    /// `(first, count, to_fast, urgent)`.
+    Migrate(u64, u64, bool, bool),
+    Access(Access),
+    /// `cancel_overlapping` of the range.
+    Cancel(u64, u64),
+    /// Advance the clock this far and poll.
+    Poll(u64),
+    /// Advance the clock this far without polling.
+    Advance(u64),
+    /// Set or lift a fast-tier quota, as a multi-tenant arbiter does; one
+    /// below usage leaves no fast page free for a re-issue.
+    Quota(Option<u64>),
+}
+
+/// A small, fully mapped system whose fast tier is near full, and a stream
+/// of operations that leaves migrations in flight when ranges are freed or
+/// cancelled.
+#[derive(Clone, Debug)]
+struct AbortStream {
+    pages: u64,
+    fast_pages: u64,
+    /// Migration lane share `(num, den)`, if not whole.
+    share: Option<(u64, u64)>,
+    /// Seed of a heavy fault injector, if one is installed.
+    faults: Option<u64>,
+    ops: Vec<AbortOp>,
+    /// Ranges whose `range_ready_at` is compared after every operation.
+    probes: Vec<(u64, u64)>,
+}
+
+fn gen_abort_stream(rng: &mut Rng) -> AbortStream {
+    let pages = rng.gen_range(8, 64);
+    let sub = |rng: &mut Rng| {
+        let first = rng.gen_range(0, pages);
+        (first, rng.gen_range(1, (pages - first).min(24) + 1))
+    };
+    let ops = (0..rng.gen_usize(4, 48))
+        .map(|_| {
+            let (first, count) = sub(rng);
+            match rng.gen_usize(0, 13) {
+                12 => AbortOp::Quota(rng.gen_bool(0.7).then(|| rng.gen_range(0, 24))),
+                0 => AbortOp::Map(first, count, rng.gen_bool(0.6)),
+                1..=4 => AbortOp::Migrate(first, count, rng.gen_bool(0.5), rng.gen_bool(0.2)),
+                5 => AbortOp::Unmap(first, count),
+                6..=7 => AbortOp::Cancel(first, count),
+                8 => {
+                    let bytes = rng.gen_range(0, 2 * 4096 * count);
+                    AbortOp::Access(Access { first, count, bytes, write: rng.gen_bool(0.5) })
+                }
+                9..=10 => AbortOp::Poll(rng.gen_range(0, 40_000)),
+                _ => AbortOp::Advance(rng.gen_range(0, 20_000)),
+            }
+        })
+        .collect();
+    AbortStream {
+        pages,
+        fast_pages: rng.gen_range(2, pages.min(24)),
+        share: rng.gen_bool(0.2).then(|| (rng.gen_range(1, 3), 3)),
+        faults: rng.gen_bool(0.5).then(|| rng.gen_range(0, 1 << 32)),
+        ops,
+        probes: (0..6).map(|_| sub(rng)).collect(),
+    }
+}
+
+/// Shrink by dropping operations and probes and removing the injector and
+/// the lane share.
+fn shrink_abort_stream(s: &AbortStream) -> Vec<AbortStream> {
+    let mut out = Vec::new();
+    for i in 0..s.ops.len() {
+        let mut t = s.clone();
+        t.ops.remove(i);
+        out.push(t);
+    }
+    for i in 0..s.probes.len() {
+        let mut t = s.clone();
+        t.probes.remove(i);
+        out.push(t);
+    }
+    if s.faults.is_some() {
+        out.push(AbortStream { faults: None, ..s.clone() });
+    }
+    if s.share.is_some() {
+        out.push(AbortStream { share: None, ..s.clone() });
+    }
+    out
+}
+
+/// The system, with all but one of the fast tier's pages mapped there and
+/// the rest of the pages in the slow tier.
+fn build_abort_system(s: &AbortStream) -> MemorySystem {
+    let mut m = MemorySystem::new(
+        HmConfig::testing().with_fast_capacity(s.fast_pages * 4096).with_slow_capacity(1024 * 4096),
+    );
+    m.enable_timeline(5_000);
+    m.set_tracer(TraceHandle::new(TraceLevel::Full));
+    m.set_sanitizer_mode(SanitizerMode::Events);
+    if let Some((num, den)) = s.share {
+        m.set_migration_lane_share(num, den);
+    }
+    if let Some(seed) = s.faults {
+        m.set_fault_injector(FaultInjector::new(FaultProfile::heavy(), seed));
+    }
+    let all = m.reserve(s.pages);
+    let fast = s.fast_pages - 1;
+    m.map(PageRange::new(0, fast), Tier::Fast, 0).unwrap();
+    m.map(PageRange::new(fast, all.count - fast), Tier::Slow, 0).unwrap();
+    m
+}
+
+/// The runs of `range` whose pages pass `keep`.
+fn runs_where(m: &MemorySystem, range: PageRange, keep: impl Fn(Pte) -> bool) -> Vec<PageRange> {
+    m.page_table().runs_in(range).filter(|run| keep(run.pte)).map(|run| run.range).collect()
+}
+
+/// Cancels after which pages were re-issued, across every case.
+static REISSUES: AtomicU64 = AtomicU64::new(0);
+
+#[test]
+fn abort_matches_the_per_page_reference() {
+    check("abort_matches_the_per_page_reference", gen_abort_stream, shrink_abort_stream, |s| {
+        let mut held = build_abort_system(s);
+        let mut reference = build_abort_system(s);
+        let mut now = 0u64;
+        let tier = |fast: bool| if fast { Tier::Fast } else { Tier::Slow };
+        for (i, op) in s.ops.iter().enumerate() {
+            match *op {
+                AbortOp::Map(first, count, fast) => {
+                    let unmapped = |pte: Pte| pte.state == PageState::Unmapped;
+                    for run in runs_where(&held, PageRange::new(first, count), unmapped) {
+                        for m in [&mut held, &mut reference] {
+                            if m.map(run, tier(fast), now).is_err() {
+                                m.map(run, Tier::Slow, now).unwrap();
+                            }
+                        }
+                    }
+                }
+                AbortOp::Unmap(first, count) => {
+                    let mapped = |pte: Pte| pte.state != PageState::Unmapped;
+                    for run in runs_where(&held, PageRange::new(first, count), mapped) {
+                        // The unmap aborts migrations in flight; the
+                        // reference aborts them per page first.
+                        if reference.page_table().any_in_flight(run) {
+                            reference.cancel_overlapping_per_page(run, now);
+                        }
+                        prop_assert_eq!(held.unmap(run, now), reference.unmap(run, now), "op {i}: unmap {run}");
+                    }
+                }
+                AbortOp::Migrate(first, count, fast, urgent) => {
+                    let range = PageRange::new(first, count);
+                    for run in held.subranges_in_tier(range, tier(!fast)) {
+                        let (a, b) = if urgent {
+                            (held.migrate_urgent(run, tier(fast), now), reference.migrate_urgent(run, tier(fast), now))
+                        } else {
+                            (held.migrate(run, tier(fast), now), reference.migrate(run, tier(fast), now))
+                        };
+                        prop_assert_eq!(a, b, "op {i}: migrate {run}");
+                    }
+                }
+                AbortOp::Access(ref acc) => {
+                    let range = PageRange::new(acc.first, acc.count);
+                    let kind = if acc.write { AccessKind::Write } else { AccessKind::Read };
+                    let got = held.access(range, acc.bytes, kind, now);
+                    prop_assert_eq!(got, reference.access(range, acc.bytes, kind, now), "op {i}: access {range}");
+                    now += got.elapsed_ns;
+                }
+                AbortOp::Cancel(first, count) => {
+                    let range = PageRange::new(first, count);
+                    held.cancel_overlapping(range, now);
+                    reference.cancel_overlapping_per_page(range, now);
+                    if held.page_table().in_flight_count() > 0 {
+                        REISSUES.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+                AbortOp::Poll(dt) => {
+                    now += dt;
+                    held.poll(now);
+                    reference.poll(now);
+                }
+                AbortOp::Advance(dt) => now += dt,
+                AbortOp::Quota(pages) => {
+                    held.set_fast_quota_pages(pages);
+                    reference.set_fast_quota_pages(pages);
+                }
+            }
+            for tier in Tier::both() {
+                prop_assert_eq!(held.used_pages(tier), reference.used_pages(tier), "op {i}: {tier} usage");
+            }
+            for &(first, count) in &s.probes {
+                let range = PageRange::new(first, count);
+                prop_assert_eq!(held.range_ready_at(range), reference.range_ready_at(range), "op {i}: range_ready_at({range})");
+            }
+        }
+        now += 1 << 32;
+        held.poll(now);
+        reference.poll(now);
+        prop_assert_eq!(held.page_table(), reference.page_table());
+        prop_assert_eq!(held.stats(), reference.stats());
+        prop_assert_eq!(held.timeline(), reference.timeline());
+        prop_assert_eq!(held.fault_counters(), reference.fault_counters());
+        prop_assert_eq!(held.sanitizer_violation(), None);
+        prop_assert_eq!(reference.sanitizer_violation(), None);
+        let events = held.tracer().take().expect("tracing is on").events;
+        prop_assert!(events == reference.tracer().take().expect("tracing is on").events, "trace events diverged");
+        // Conservation: every byte a migration moved is in one `complete`.
+        let completed: u64 = events
+            .iter()
+            .filter(|e| e.name == "complete")
+            .filter_map(|e| e.args.iter().find(|(k, _)| *k == "bytes"))
+            .map(|(_, bytes)| if let Json::U64(b) = bytes { *b } else { 0 })
+            .sum();
+        prop_assert_eq!(completed, held.stats().promoted_bytes + held.stats().demoted_bytes, "completed bytes");
+        Ok(())
+    });
+    assert!(REISSUES.load(Ordering::Relaxed) > 0, "no cancel re-issued a page");
 }

@@ -12,9 +12,10 @@
 
 use sentinel_core::{fast_sized_for, SentinelConfig, SentinelRuntime};
 use sentinel_mem::{
-    AccessKind, Direction, FaultCounters, FaultInjector, FaultProfile, HmConfig, MemError,
-    MemorySystem, MigrationEngine, PageRange, SanitizerMode, Tier,
+    AccessKind, Direction, FaultCounters, FaultInjector, FaultProfile, HmConfig, InFlight,
+    MemError, MemorySystem, MigrationEngine, PageRange, SanitizerMode, Tier,
 };
+use std::collections::HashMap;
 use sentinel_models::{ModelSpec, ModelZoo};
 use sentinel_util::Rng;
 
@@ -148,6 +149,11 @@ fn training_survives_heavy_faults_and_stays_deterministic() {
 /// quiescence time (which also covers the urgent lanes).
 fn assert_engines_agree(a: &MigrationEngine, b: &MigrationEngine, at: &str) {
     assert!(a.in_flight().eq(b.in_flight()), "{at}: in-flight sets diverged");
+    assert_lanes_agree(a, b, at);
+}
+
+/// The two engines' next event, both `busy_until` lanes and quiescence time.
+fn assert_lanes_agree(a: &MigrationEngine, b: &MigrationEngine, at: &str) {
     assert_eq!(a.next_ready_at(), b.next_ready_at(), "{at}: next event diverged");
     assert_eq!(a.quiescent_at(), b.quiescent_at(), "{at}: quiescence diverged");
     for dir in [Direction::Promote, Direction::Demote] {
@@ -174,7 +180,16 @@ fn jittered_ready_heap_drains_identically_to_the_scan_reference() {
         let mut ties = 0;
         for round in 0..400 {
             let at = format!("seed {seed} round {round}");
-            match rng.gen_usize(0, 7) {
+            match rng.gen_usize(0, 8) {
+                // Page-by-page batches, which both drains must split alike.
+                7 => {
+                    let range = PageRange::new(rng.gen_range(0, 512), rng.gen_range(1, 17));
+                    let dir =
+                        if rng.gen_bool(0.5) { Direction::Promote } else { Direction::Demote };
+                    let a = indexed.enqueue_page_by_page(range, dir, now);
+                    let b = reference.enqueue_page_by_page(range, dir, now);
+                    assert_eq!(a, b, "{at}: page-by-page batches diverged");
+                }
                 0..=1 => {
                     let range = PageRange::new(rng.gen_range(0, 512), rng.gen_range(1, 9));
                     let dir =
@@ -242,6 +257,110 @@ fn jittered_ready_heap_drains_identically_to_the_scan_reference() {
         assert_eq!(indexed.drain_completed(now), reference.drain_completed_scan(now));
         assert_engines_agree(&indexed, &reference, &format!("seed {seed} final drain"));
         assert_eq!(indexed.next_ready_at(), None);
+    }
+}
+
+/// An engine's batches as the one-page batches they stand for.
+fn pages<'a>(batches: impl IntoIterator<Item = &'a InFlight>) -> Vec<InFlight> {
+    batches.into_iter().flat_map(InFlight::pages).collect()
+}
+
+/// A page-by-page batch is exactly the one-page batches it stands for. One
+/// engine takes page-by-page enqueues; the reference takes one `enqueue` per
+/// page of each such run. Interleaved with plain, urgent and perturbed
+/// batches, lane-share changes, cancels, and drains at random times and at
+/// exact page landings, the two must agree after every operation on the
+/// drained, cancelled and in-flight pages, the next event, both plain
+/// lanes, quiescence and `range_ready_at` of random ranges.
+#[test]
+fn page_by_page_batches_equal_their_one_page_batches() {
+    for seed in [3u64, 41, 0xB47C, 0x9A6E] {
+        let mut rng = Rng::seed_from_u64(seed);
+        let mut held = MigrationEngine::new(2.0, 1.0, 100, 4096);
+        let mut reference = MigrationEngine::new(2.0, 1.0, 100, 4096);
+        // Pages of each page-by-page batch by first id, to tell a split one.
+        let mut issued: HashMap<u64, u64> = HashMap::new();
+        let mut now = 0u64;
+        let (mut drain_splits, mut cancel_splits) = (0, 0);
+        for round in 0..400 {
+            let at = format!("seed {seed} round {round}");
+            let dir = if rng.gen_bool(0.5) { Direction::Promote } else { Direction::Demote };
+            match rng.gen_usize(0, 9) {
+                0..=2 => {
+                    let range = PageRange::new(rng.gen_range(0, 512), rng.gen_range(1, 25));
+                    // Now and then issued ahead of the clock, as retries are.
+                    let issue_at = now + if rng.gen_bool(0.2) { rng.gen_range(1, 20_000) } else { 0 };
+                    let batch = held.enqueue_page_by_page(range, dir, issue_at);
+                    issued.insert(batch.id, range.count);
+                    let tickets: Vec<_> = range
+                        .iter()
+                        .map(|p| reference.enqueue(PageRange::new(p, 1), dir, issue_at))
+                        .map(|t| (t.id, t.ready_at))
+                        .collect();
+                    let got: Vec<_> = batch.pages().map(|f| (f.id, f.ready_at)).collect();
+                    assert_eq!(got, tickets, "{at}: page ids or landings diverged");
+                }
+                3 => {
+                    let range = PageRange::new(rng.gen_range(0, 512), rng.gen_range(1, 9));
+                    let (urgent, extra, failed) = match rng.gen_usize(0, 3) {
+                        0 => (false, 0, false),
+                        1 => (true, 0, false),
+                        _ => (rng.gen_bool(0.5), rng.gen_range(0, 30_000), rng.gen_bool(0.3)),
+                    };
+                    let attempt = rng.gen_range(0, 3) as u32;
+                    let a = held.enqueue_perturbed(range, dir, now, urgent, extra, failed, attempt);
+                    let b = reference.enqueue_perturbed(range, dir, now, urgent, extra, failed, attempt);
+                    assert_eq!(a, b, "{at}: tickets diverged");
+                }
+                4 => {
+                    let den = rng.gen_range(1, 5);
+                    let num = rng.gen_range(1, den + 1);
+                    held.set_lane_share(num, den);
+                    reference.set_lane_share(num, den);
+                }
+                5 => {
+                    now += rng.gen_range(0, 10_000);
+                    let a = held.cancel_pending(now);
+                    // Split here: the landed prefix is still queued.
+                    cancel_splits += a
+                        .iter()
+                        .filter(|f| !issued.contains_key(&f.id))
+                        .filter(|f| held.in_flight().any(|k| k.page_by_page && k.id + k.range.count == f.id))
+                        .count();
+                    assert_eq!(pages(&a), pages(&reference.cancel_pending(now)), "{at}: cancel diverged");
+                }
+                op => {
+                    now = match op {
+                        // Exactly when a random in-flight page lands.
+                        6 => {
+                            let landings: Vec<_> = pages(reference.in_flight()).iter().map(|f| f.ready_at).collect();
+                            if landings.is_empty() { now } else { now.max(*rng.choose(&landings)) }
+                        }
+                        7 => now.max(held.next_ready_at().unwrap_or(now)),
+                        _ => now + rng.gen_range(1, 40_000),
+                    };
+                    let a = held.drain_completed(now);
+                    // Split here: the rest is still queued.
+                    drain_splits += a
+                        .iter()
+                        .filter(|f| held.in_flight().any(|k| k.page_by_page && k.id == f.id + f.range.count && !issued.contains_key(&k.id)))
+                        .count();
+                    let b = reference.drain_completed(now);
+                    assert_eq!(pages(&a), pages(&b), "{at}: drain diverged");
+                }
+            }
+            assert_eq!(pages(held.in_flight()), pages(reference.in_flight()), "{at}: in-flight pages diverged");
+            assert_lanes_agree(&held, &reference, &at);
+            for _ in 0..4 {
+                let range = PageRange::new(rng.gen_range(0, 540), rng.gen_range(1, 40));
+                assert_eq!(held.range_ready_at(range), reference.range_ready_at(range), "{at}: range_ready_at({range}) diverged");
+            }
+        }
+        assert!(drain_splits > 0, "seed {seed}: no drain split a page-by-page batch");
+        assert!(cancel_splits > 0, "seed {seed}: no cancel split a page-by-page batch");
+        now += 1 << 40;
+        assert_eq!(pages(&held.drain_completed(now)), pages(&reference.drain_completed(now)));
+        assert_eq!(held.next_ready_at(), None);
     }
 }
 

@@ -11,6 +11,12 @@ cargo build --release --offline
 echo "== offline test suite (every workspace test target) =="
 cargo test -q --offline
 
+echo "== abort property in release: the run-by-run abort matches the per-page reference =="
+# The suite above runs this property in debug at the harness's 96 cases. In
+# release, 200,000 cases take about 10 s on a 2-vCPU host.
+SENTINEL_PROP_CASES=200000 cargo test --release --offline -q -p sentinel-mem \
+    --test access_equivalence_prop abort_matches_the_per_page_reference
+
 echo "== rustdoc: public docs build without warnings (dangling links fail) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
