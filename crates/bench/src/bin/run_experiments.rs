@@ -7,11 +7,12 @@
 //! cargo run -p sentinel-bench --release --bin run_experiments -- --jobs 4  # 4 workers
 //! cargo run -p sentinel-bench --release --bin run_experiments -- --fail-fast  # abort on error
 //! cargo run -p sentinel-bench --release --bin run_experiments -- --trace-dir traces fig7
-//! cargo run -p sentinel-bench --release --bin run_experiments -- --tenants 5 cluster
 //! ```
 //!
 //! Writes `results/<id>.json` per experiment and assembles
-//! `EXPERIMENTS_GENERATED.md` with every rendered table.
+//! `EXPERIMENTS_GENERATED.md` with every rendered table. Words that are not
+//! flags select the experiments whose ids contain them; any flag other
+//! than the ones above exits 2 and names the known flags.
 //!
 //! By default the runner *keeps going* when one experiment fails: the error
 //! is logged, a `results/<id>.FAILED.json` stub records it, the remaining
@@ -28,11 +29,6 @@
 //! `SENTINEL_TRACE=full` unless the variable is already set; see DESIGN.md
 //! "Trace schema".
 //!
-//! `--tenants N`, `--arrival-seed S` and `--min-quota-frac X` parameterize
-//! the `cluster` experiment (exported as `SENTINEL_CLUSTER_TENANTS`,
-//! `SENTINEL_CLUSTER_ARRIVAL_SEED`, `SENTINEL_CLUSTER_MIN_QUOTA_FRAC`); see
-//! DESIGN.md "Multi-tenant cluster scheduling".
-//!
 //! Independent experiments run concurrently on `--jobs N` workers
 //! (`SENTINEL_JOBS` honored, host parallelism by default, `--jobs 1` for
 //! the serial path); every experiment is deterministic and owns its
@@ -46,46 +42,14 @@ use std::time::Instant;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    let keep_going = !args.iter().any(|a| a == "--fail-fast");
-    let jobs = match parse_jobs(&args) {
-        Ok(jobs) => jobs,
+    let Args { fast, fail_fast, jobs, trace_dir, filter } = match parse_args(&args) {
+        Ok(args) => args,
         Err(message) => {
             eprintln!("{message}");
             std::process::exit(2);
         }
     };
-    let trace_dir = match parse_trace_dir(&args) {
-        Ok(dir) => dir,
-        Err(message) => {
-            eprintln!("{message}");
-            std::process::exit(2);
-        }
-    };
-    let cluster_knobs = match parse_cluster_knobs(&args) {
-        Ok(knobs) => knobs,
-        Err(message) => {
-            eprintln!("{message}");
-            std::process::exit(2);
-        }
-    };
-    let filter: Vec<&String> = {
-        // Skip flag tokens and the value following a bare value-taking flag.
-        let value_flags =
-            ["--jobs", "--trace-dir", "--tenants", "--arrival-seed", "--min-quota-frac"];
-        let mut filter = Vec::new();
-        let mut skip_next = false;
-        for a in &args {
-            if skip_next {
-                skip_next = false;
-            } else if value_flags.contains(&a.as_str()) {
-                skip_next = true;
-            } else if !a.starts_with("--") {
-                filter.push(a);
-            }
-        }
-        filter
-    };
+    let jobs = jobs.unwrap_or_else(sentinel_util::default_jobs);
     // Propagate to every pool sized via `default_jobs()` — in particular
     // SwapAdvisor's GA, which runs deep inside `run_gpu_baseline`.
     sentinel_util::set_default_jobs(jobs);
@@ -99,12 +63,6 @@ fn main() {
         if std::env::var("SENTINEL_TRACE").is_err() {
             std::env::set_var("SENTINEL_TRACE", "full");
         }
-    }
-
-    // Like `--trace-dir`, the cluster knobs travel as env vars so the
-    // experiment sees them regardless of which pool worker runs it.
-    for (var, value) in cluster_knobs {
-        std::env::set_var(var, value);
     }
 
     fs::create_dir_all("results").expect("create results dir");
@@ -135,10 +93,10 @@ fn main() {
     // registry order regardless of completion order, keeping the assembled
     // markdown — and therefore every output byte — independent of `--jobs`.
     //
-    // Under `--keep-going` (the default) a panicking experiment is caught
-    // here: the panic is logged, a `results/<id>.FAILED.json` stub records
-    // it, and the run continues. Under `--fail-fast` the panic propagates
-    // through the pool and aborts the whole run, as before.
+    // By default a panicking experiment is caught here: the panic is
+    // logged, a `results/<id>.FAILED.json` stub records it, and the run
+    // continues. Under `--fail-fast` the panic propagates through the pool
+    // and aborts the whole run.
     let outcomes: Vec<Option<ExpResult>> = cfg.pool().run_all(
         registry
             .into_iter()
@@ -157,7 +115,7 @@ fn main() {
                         );
                         result
                     };
-                    if !keep_going {
+                    if fail_fast {
                         return Some(run());
                     }
                     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
@@ -225,72 +183,94 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Parse `--trace-dir DIR` / `--trace-dir=DIR`.
-fn parse_trace_dir(args: &[String]) -> Result<Option<String>, String> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let raw = if a == "--trace-dir" {
-            it.next().map(String::as_str)
-        } else if let Some(v) = a.strip_prefix("--trace-dir=") {
-            Some(v)
-        } else {
-            continue;
-        };
-        return raw
-            .filter(|v| !v.is_empty() && !v.starts_with("--"))
-            .map(|v| Some(v.to_owned()))
-            .ok_or_else(|| "--trace-dir expects a directory path".to_owned());
-    }
-    Ok(None)
+/// The command line, classified.
+#[derive(Debug, Default, PartialEq)]
+struct Args {
+    fast: bool,
+    fail_fast: bool,
+    /// `--jobs N`; `None` falls back to `SENTINEL_JOBS` and then host
+    /// parallelism via [`sentinel_util::default_jobs`].
+    jobs: Option<usize>,
+    trace_dir: Option<String>,
+    /// Experiment filter words.
+    filter: Vec<String>,
 }
 
-/// Parse the cluster-experiment knobs `--tenants N`, `--arrival-seed S`
-/// and `--min-quota-frac X` (each also accepting `--flag=V`) into the
-/// `(env var, value)` pairs the `cluster` experiment reads. Values are
-/// validated by the experiment itself; here they only need to be present.
-fn parse_cluster_knobs(args: &[String]) -> Result<Vec<(&'static str, String)>, String> {
-    let flags = [
-        ("--tenants", "SENTINEL_CLUSTER_TENANTS"),
-        ("--arrival-seed", "SENTINEL_CLUSTER_ARRIVAL_SEED"),
-        ("--min-quota-frac", "SENTINEL_CLUSTER_MIN_QUOTA_FRAC"),
-    ];
-    let mut out = Vec::new();
-    for (flag, var) in flags {
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            let raw = if a == flag {
-                it.next().map(String::as_str)
-            } else if let Some(v) = a.strip_prefix(flag).and_then(|r| r.strip_prefix('=')) {
-                Some(v)
-            } else {
-                continue;
-            };
-            let value = raw
-                .filter(|v| !v.is_empty() && !v.starts_with("--"))
-                .ok_or_else(|| format!("{flag} expects a value, e.g. {flag} 4"))?;
-            out.push((var, value.to_owned()));
-            break;
+/// Classify every token: `--fast`, `--fail-fast`, `--jobs N` / `--jobs=N`,
+/// `--trace-dir DIR` / `--trace-dir=DIR`, or a filter word. Anything else
+/// that starts with `-` is an error naming the known flags, so a mistyped
+/// flag never turns its value into a filter word.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut out = Args::default();
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        let (flag, inline) = match a.split_once('=') {
+            Some((flag, value)) => (flag, Some(value)),
+            None => (a.as_str(), None),
+        };
+        let mut value = || inline.or_else(|| it.next().map(String::as_str));
+        match flag {
+            "--fast" if inline.is_none() => out.fast = true,
+            "--fail-fast" if inline.is_none() => out.fail_fast = true,
+            "--jobs" => {
+                let jobs = value().and_then(|v| v.parse::<usize>().ok()).filter(|&n| n >= 1);
+                out.jobs =
+                    Some(jobs.ok_or("--jobs expects a positive integer, e.g. --jobs 4")?);
+            }
+            "--trace-dir" => {
+                let dir = value().filter(|v| !v.is_empty() && !v.starts_with("--"));
+                out.trace_dir =
+                    Some(dir.ok_or("--trace-dir expects a directory path")?.to_owned());
+            }
+            _ if a.starts_with('-') => {
+                return Err(format!(
+                    "unknown flag {a}; known flags: --fast, --fail-fast, --jobs N, --trace-dir DIR"
+                ));
+            }
+            _ => out.filter.push(a.clone()),
         }
     }
     Ok(out)
 }
 
-/// Parse `--jobs N` / `--jobs=N`, falling back to `SENTINEL_JOBS` and then
-/// host parallelism via [`sentinel_util::default_jobs`].
-fn parse_jobs(args: &[String]) -> Result<usize, String> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let raw = if a == "--jobs" {
-            it.next().map(String::as_str)
-        } else if let Some(v) = a.strip_prefix("--jobs=") {
-            Some(v)
-        } else {
-            continue;
-        };
-        return raw
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .ok_or_else(|| "--jobs expects a positive integer, e.g. --jobs 4".to_owned());
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        parse_args(&line.split_whitespace().map(str::to_owned).collect::<Vec<_>>())
     }
-    Ok(sentinel_util::default_jobs())
+
+    #[test]
+    fn unknown_and_removed_flags_are_refused() {
+        for line in ["--fast --jobs 2 --tennants 5 table1", "--tenants 3 cluster", "-j 2"] {
+            let err = parse(line).expect_err(line);
+            assert!(err.contains("unknown flag") && err.contains("--trace-dir DIR"), "{err}");
+        }
+        assert!(parse("--fast=1").is_err());
+    }
+
+    #[test]
+    fn known_flags_parse_in_both_spellings() {
+        assert_eq!(parse(""), Ok(Args::default()));
+        let both = Args { fast: true, fail_fast: true, ..Args::default() };
+        assert_eq!(parse("--fast --fail-fast"), Ok(both));
+        for line in ["--jobs 2", "--jobs=2"] {
+            assert_eq!(parse(line), Ok(Args { jobs: Some(2), ..Args::default() }), "{line}");
+        }
+        for line in ["--trace-dir traces", "--trace-dir=traces"] {
+            let want = Args { trace_dir: Some("traces".to_owned()), ..Args::default() };
+            assert_eq!(parse(line), Ok(want), "{line}");
+        }
+        for line in ["--jobs", "--jobs 0", "--jobs=x", "--trace-dir", "--trace-dir --fast"] {
+            assert!(parse(line).is_err(), "{line}");
+        }
+    }
+
+    #[test]
+    fn other_words_are_filters() {
+        let args = parse("fig7 --jobs 2 table1").unwrap();
+        assert_eq!(args.filter, ["fig7", "table1"]);
+        assert_eq!(args.jobs, Some(2));
+    }
 }

@@ -13,7 +13,7 @@
 //! fault seeds), so the experiment is part of the committed goldens.
 
 use crate::harness::{ExpConfig, ExpResult};
-use sentinel_core::{fast_sized_for, AdaptConfig, SentinelConfig, SentinelPolicy};
+use sentinel_core::{fast_sized_for, SentinelConfig, SentinelPolicy};
 use sentinel_dnn::Executor;
 use sentinel_mem::{HmConfig, MemorySystem};
 use sentinel_models::{ModelSpec, ModelZoo};
@@ -104,7 +104,7 @@ pub fn run_variant(spec: &ModelSpec, variant: Variant, pre_steps: usize) -> Vari
         hm.fast.capacity_bytes = quota_pages * hm.page_size;
     }
     let cfg = match variant {
-        Variant::Adaptive => SentinelConfig::default().with_adaptive(AdaptConfig::default()),
+        Variant::Adaptive => SentinelConfig::default().with_adaptive(),
         _ => SentinelConfig::default(),
     };
     let mut exec = Executor::new(&graph, MemorySystem::new(hm));

@@ -5,48 +5,19 @@
 //! footprints, so admission, weighted max-min quotas and cold-tensor
 //! demotion all engage. Reports per-tenant queueing delay and p50/p99 step
 //! latency next to the fleet-wide admission/eviction/breach counters.
-//!
-//! Knobs (set by `run_experiments` flags):
-//!
-//! * `SENTINEL_CLUSTER_TENANTS` (`--tenants N`) — trace length, default 3.
-//! * `SENTINEL_CLUSTER_ARRIVAL_SEED` (`--arrival-seed S`) — arrival-jitter
-//!   seed, default `0xC1A5`.
-//! * `SENTINEL_CLUSTER_MIN_QUOTA_FRAC` (`--min-quota-frac X`) — admission
-//!   floor as a fraction of a job's peak footprint, default `0.1`.
 
 use crate::harness::{ExpConfig, ExpResult};
-use sentinel_core::{ClusterConfig, ClusterScheduler, JobSpec, SentinelConfig, SentinelRuntime};
+use sentinel_core::{ClusterScheduler, JobSpec, SentinelConfig, SentinelRuntime};
 use sentinel_dnn::Graph;
 use sentinel_mem::{HmConfig, Ns};
 use sentinel_models::{ModelSpec, ModelZoo};
 use sentinel_util::Rng;
 
-/// Parsed experiment knobs; `None` env vars fall back to defaults so a
-/// pristine regeneration is deterministic without any flags.
-fn knobs() -> (usize, u64, f64) {
-    let tenants = std::env::var("SENTINEL_CLUSTER_TENANTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3usize)
-        .clamp(1, 64);
-    let seed = std::env::var("SENTINEL_CLUSTER_ARRIVAL_SEED")
-        .ok()
-        .and_then(|v| {
-            let v = v.trim();
-            if let Some(hex) = v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-                u64::from_str_radix(hex, 16).ok()
-            } else {
-                v.parse().ok()
-            }
-        })
-        .unwrap_or(0xC1A5);
-    let frac = std::env::var("SENTINEL_CLUSTER_MIN_QUOTA_FRAC")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.1f64)
-        .clamp(0.01, 1.0);
-    (tenants, seed, frac)
-}
+/// Jobs in the arrival trace: one per model of the rotation.
+const TENANTS: usize = 3;
+
+/// Seed of the arrival jitter.
+const ARRIVAL_SEED: u64 = 0xC1A5;
 
 /// The model rotation tenants draw from, biggest-first: the incumbent
 /// fills the fast tier while alone, so later arrivals force a quota shrink
@@ -75,15 +46,8 @@ fn calibrate(graph: &Graph, hm: &HmConfig) -> (Ns, Ns) {
 }
 
 /// Build the deterministic arrival trace over pre-built graphs.
-fn trace<'g>(
-    graphs: &'g [Graph],
-    tenants: usize,
-    seed: u64,
-    steps: usize,
-    profiling_ns: Ns,
-    step_ns: Ns,
-) -> Vec<JobSpec<'g>> {
-    let mut rng = Rng::seed_from_u64(seed);
+fn trace(graphs: &[Graph], steps: usize, profiling_ns: Ns, step_ns: Ns) -> Vec<JobSpec<'_>> {
+    let mut rng = Rng::seed_from_u64(ARRIVAL_SEED);
     // Weight rotation 1:2:2 — tenant 0 is a batch tenant that warms up
     // alone; the later arrivals are premium, so the fairness retarget
     // drives the incumbent *below* its live fast usage.
@@ -93,7 +57,7 @@ fn trace<'g>(
     // is warm (fast tier populated) when each quota shrink lands — that is
     // what forces the transient breach and cold demotion.
     let mut at: Ns = profiling_ns + step_ns / 4;
-    (0..tenants)
+    (0..TENANTS)
         .map(|i| {
             let arrival = if i == 0 {
                 0
@@ -116,9 +80,8 @@ fn trace<'g>(
 
 /// Cluster sweep: seeded mixed-model arrival trace under quota pressure.
 pub fn cluster(cfg: &ExpConfig) -> ExpResult {
-    let (tenants, seed, frac) = knobs();
     let specs = model_rotation(cfg);
-    let graphs: Vec<Graph> = (0..tenants)
+    let graphs: Vec<Graph> = (0..TENANTS)
         .map(|i| ModelZoo::build(&specs[i % specs.len()]).expect("model builds"))
         .collect();
     // Fast tier sized to ~25% of the summed peaks: every tenant fits alone,
@@ -127,14 +90,13 @@ pub fn cluster(cfg: &ExpConfig) -> ExpResult {
     let fleet_bytes = ((peak as f64 * 0.25).ceil() as u64).max(1 << 20);
     let hm = HmConfig::optane_like().without_cache().with_fast_capacity(fleet_bytes);
     let (profiling_ns, step_ns) = calibrate(&graphs[0], &hm);
-    let jobs = trace(&graphs, tenants, seed, cfg.steps(), profiling_ns, step_ns);
-    let outcome = ClusterScheduler::new(ClusterConfig::new(hm).with_min_quota_frac(frac))
-        .run(&jobs)
-        .expect("cluster run completes");
+    let jobs = trace(&graphs, cfg.steps(), profiling_ns, step_ns);
+    let outcome = ClusterScheduler::new(hm).run(&jobs).expect("cluster run completes");
 
+    // The admission floor is the scheduler's: 10% of a job's peak footprint.
     let mut md = format!(
-        "Fleet fast tier: {} pages; {} tenants, arrival seed {seed:#x}, \
-         admission floor {frac}.\n\n\
+        "Fleet fast tier: {} pages; {} tenants, arrival seed {ARRIVAL_SEED:#x}, \
+         admission floor 0.1.\n\n\
          | tenant | model | weight | arrival (ns) | wait (ns) | p50 step (ns) | p99 step (ns) | evictions | breaches |\n\
          |---|---|---|---|---|---|---|---|---|\n",
         outcome.fleet_fast_pages,

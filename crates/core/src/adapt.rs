@@ -10,96 +10,75 @@
 //!
 //! 1. **Detect** ([`DriftDetector`]): per-step slow-memory traffic and stall
 //!    time are smoothed with an EWMA and compared against a baseline frozen
-//!    when the plan was (re)built. A ratio above `drift_threshold` for
-//!    `trip_steps` consecutive steps trips the detector; hysteresis (the
-//!    separate, lower `clear_threshold`) keeps it from chattering.
+//!    when the plan was (re)built. A ratio above `DRIFT_THRESHOLD` for
+//!    `TRIP_STEPS` consecutive steps trips the detector; hysteresis (the
+//!    separate, lower `CLEAR_THRESHOLD`) keeps it from chattering.
 //! 2. **Localize + re-profile**: per-layer slow-access attribution (the
 //!    memory system's cheap always-on counters) names the divergent layers;
 //!    only their long-lived tensors are page-poisoned for **one**
 //!    observation step, and the measured deltas are merged into the
-//!    existing [`ProfileReport`]. Past `full_reprofile_fraction` of layers
+//!    existing [`ProfileReport`]. Past `FULL_REPROFILE_FRACTION` of layers
 //!    divergent, the incremental pass covers everything.
 //! 3. **Re-solve + swap**: the MIL solver and interval-set table are re-run
 //!    on the merged profile and the new plan is swapped in at the step
 //!    boundary, reconciling in-flight migrations through the existing
-//!    cancel/retry machinery. At most `max_resolves_per_run` swaps.
-//! 4. **Degrade, never crash**: a failed observation (no resident pages, a
-//!    forced fault) or a failed re-solve latches a typed [`AdaptWarning`],
-//!    keeps the old plan, and drops the divergent tensors to demand paging.
+//!    cancel/retry machinery. At most `MAX_RESOLVES_PER_RUN` swaps.
+//! 4. **Degrade, never crash**: a failed observation (no resident pages)
+//!    or a failed re-solve latches a typed [`AdaptWarning`], keeps the old
+//!    plan, and drops the divergent tensors to demand paging.
 //!
-//! Everything here is gated on `SentinelConfig::adaptive`; with it `None`
+//! Everything here is gated on `SentinelConfig::adaptive`; with it `false`
 //! the policy takes none of these paths and runs byte-identically to the
-//! static build.
+//! static build. The tuning is fixed: the constants below are the one
+//! sensitivity every run uses (ratios are unitless, against the calibrated
+//! baseline).
 
 use sentinel_dnn::TensorId;
 use sentinel_mem::{Ns, PageRange};
 use std::collections::{HashMap, HashSet};
 
-/// Tuning for the adaptive control loop (all thresholds unitless ratios
-/// against the calibrated baseline unless noted).
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdaptConfig {
-    /// EWMA smoothing factor for the per-step drift signals (0 < α ≤ 1);
-    /// larger reacts faster, smaller rides out single-step noise.
-    pub ewma_alpha: f64,
-    /// Smoothed-signal / baseline ratio at which the detector trips. The
-    /// default (1.5) is deliberately lower than a "signal doubled"
-    /// intuition: slow-tier access counts amplify capacity loss — a
-    /// capacity cut that costs only a few percent of end-to-end step time
-    /// shows up as a 1.5–2x rise in slow accesses, because most accesses
-    /// still hit fast memory. Requiring `trip_steps` consecutive
-    /// EWMA-smoothed excursions keeps the lower bar from chattering.
-    pub drift_threshold: f64,
-    /// Ratio below which a tripped detector clears (hysteresis; must be
-    /// below `drift_threshold`).
-    pub clear_threshold: f64,
-    /// Consecutive above-threshold steps required to trip.
-    pub trip_steps: usize,
-    /// Absolute per-step signal floor below which the ratio is ignored —
-    /// keeps a near-zero baseline from tripping on a handful of accesses.
-    pub noise_floor: f64,
-    /// Per-layer slow-access delta (absolute) below which a layer is never
-    /// called divergent, regardless of ratio.
-    pub layer_noise_floor: u64,
-    /// Fraction of layers divergent at which the incremental re-profile
-    /// widens to a full one.
-    pub full_reprofile_fraction: f64,
-    /// Hard cap on plan re-solves in one run; past it the policy warns once
-    /// and stays on its current plan.
-    pub max_resolves_per_run: usize,
-    /// Test hook: make the next observation step fail as if profiling
-    /// faulted, exercising the degradation ladder.
-    #[doc(hidden)]
-    pub force_reprofile_fault: bool,
-    /// Test hook: make the next re-solve fail with a zero-migration-budget
-    /// error, exercising the degradation ladder.
-    #[doc(hidden)]
-    pub force_zero_budget: bool,
-}
+/// EWMA smoothing factor for the per-step drift signals (0 < α ≤ 1);
+/// larger reacts faster, smaller rides out single-step noise.
+const EWMA_ALPHA: f64 = 0.5;
 
-impl Default for AdaptConfig {
-    fn default() -> Self {
-        AdaptConfig {
-            ewma_alpha: 0.5,
-            drift_threshold: 1.5,
-            clear_threshold: 1.25,
-            trip_steps: 2,
-            noise_floor: 64.0,
-            layer_noise_floor: 16,
-            full_reprofile_fraction: 0.5,
-            max_resolves_per_run: 3,
-            force_reprofile_fault: false,
-            force_zero_budget: false,
-        }
-    }
-}
+/// Smoothed-signal / baseline ratio at which the detector trips. It is
+/// deliberately lower than a "signal doubled" intuition: slow-tier access
+/// counts amplify capacity loss — a capacity cut that costs only a few
+/// percent of end-to-end step time shows up as a 1.5–2x rise in slow
+/// accesses, because most accesses still hit fast memory. Requiring
+/// [`TRIP_STEPS`] consecutive EWMA-smoothed excursions keeps the lower bar
+/// from chattering.
+const DRIFT_THRESHOLD: f64 = 1.5;
+
+/// Ratio below which a tripped detector clears (hysteresis; below
+/// [`DRIFT_THRESHOLD`]).
+const CLEAR_THRESHOLD: f64 = 1.25;
+
+/// Consecutive above-threshold steps required to trip.
+const TRIP_STEPS: usize = 2;
+
+/// Absolute per-step signal floor below which the ratio is ignored — keeps
+/// a near-zero baseline from tripping on a handful of accesses.
+const NOISE_FLOOR: f64 = 64.0;
+
+/// Per-layer slow-access delta (absolute) below which a layer is never
+/// called divergent, regardless of ratio.
+const LAYER_NOISE_FLOOR: u64 = 16;
+
+/// Fraction of layers divergent at which the incremental re-profile widens
+/// to a full one.
+const FULL_REPROFILE_FRACTION: f64 = 0.5;
+
+/// Hard cap on plan re-solves in one run; past it the policy warns once and
+/// stays on its current plan.
+pub(crate) const MAX_RESOLVES_PER_RUN: usize = 3;
 
 /// What one [`DriftDetector::observe`] call concluded.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DriftVerdict {
     /// Signal within threshold of the baseline.
     Calm,
-    /// Above threshold, but not yet for `trip_steps` consecutive steps.
+    /// Above threshold, but not yet for two consecutive steps.
     Elevated {
         /// Smoothed-signal / baseline ratio.
         ratio: f64,
@@ -112,20 +91,16 @@ pub enum DriftVerdict {
     },
 }
 
-/// Windowed-EWMA drift detector with hysteresis over one scalar signal.
+/// Windowed-EWMA drift detector with hysteresis over one scalar signal, at
+/// the adaptive loop's fixed sensitivity.
 ///
 /// The first observation calibrates the baseline (the profile-predicted
 /// steady state: the first managed step runs under the fresh plan, so its
 /// signal *is* the plan's prediction made measurable). The baseline then
 /// stays frozen until [`DriftDetector::reset`] — deliberate: an adaptive
 /// baseline would slowly absorb the very degradation being detected.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DriftDetector {
-    alpha: f64,
-    trip: f64,
-    clear: f64,
-    trip_steps: usize,
-    noise_floor: f64,
     ewma: Option<f64>,
     baseline: Option<f64>,
     consecutive: usize,
@@ -133,26 +108,16 @@ pub struct DriftDetector {
 }
 
 impl DriftDetector {
-    /// A detector using `cfg`'s thresholds, with no calibrated baseline yet.
+    /// A detector with no calibrated baseline yet.
     #[must_use]
-    pub fn new(cfg: &AdaptConfig) -> Self {
-        DriftDetector {
-            alpha: cfg.ewma_alpha,
-            trip: cfg.drift_threshold,
-            clear: cfg.clear_threshold,
-            trip_steps: cfg.trip_steps,
-            noise_floor: cfg.noise_floor,
-            ewma: None,
-            baseline: None,
-            consecutive: 0,
-            tripped: false,
-        }
+    pub fn new() -> Self {
+        DriftDetector::default()
     }
 
     /// Feed one per-step signal sample; returns the current verdict.
     pub fn observe(&mut self, value: f64) -> DriftVerdict {
         let ewma = match self.ewma {
-            Some(prev) => self.alpha * value + (1.0 - self.alpha) * prev,
+            Some(prev) => EWMA_ALPHA * value + (1.0 - EWMA_ALPHA) * prev,
             None => value,
         };
         self.ewma = Some(ewma);
@@ -162,25 +127,25 @@ impl DriftDetector {
         };
         // Ratio against the frozen baseline; a sub-floor signal is calm by
         // definition (nothing worth re-planning over is happening).
-        let ratio = if ewma < self.noise_floor {
+        let ratio = if ewma < NOISE_FLOOR {
             1.0
-        } else if baseline < self.noise_floor {
+        } else if baseline < NOISE_FLOOR {
             // Baseline was quiet, signal is not: maximal drift.
             f64::INFINITY
         } else {
             ewma / baseline
         };
         if self.tripped {
-            if ratio <= self.clear {
+            if ratio <= CLEAR_THRESHOLD {
                 self.tripped = false;
                 self.consecutive = 0;
                 return DriftVerdict::Calm;
             }
             return DriftVerdict::Drifted { ratio };
         }
-        if ratio >= self.trip {
+        if ratio >= DRIFT_THRESHOLD {
             self.consecutive += 1;
-            if self.consecutive >= self.trip_steps {
+            if self.consecutive >= TRIP_STEPS {
                 self.tripped = true;
                 return DriftVerdict::Drifted { ratio };
             }
@@ -232,7 +197,7 @@ pub enum AdaptWarning {
     },
     /// Drift persisted but the run already spent its re-solve budget.
     ResolveLimitReached {
-        /// The configured `max_resolves_per_run`.
+        /// The per-run re-solve cap.
         limit: usize,
     },
 }
@@ -318,7 +283,6 @@ pub(crate) struct Observation {
 /// The policy-side state of the adaptation loop.
 #[derive(Debug)]
 pub(crate) struct AdaptState {
-    pub(crate) cfg: AdaptConfig,
     /// Detector over per-step slow-memory accesses.
     pub(crate) slow_detector: DriftDetector,
     /// Detector over per-step stall time (Case-3 waits + demand faults).
@@ -355,13 +319,10 @@ pub(crate) struct AdaptState {
 }
 
 impl AdaptState {
-    pub(crate) fn new(cfg: AdaptConfig) -> Self {
-        let slow_detector = DriftDetector::new(&cfg);
-        let stall_detector = DriftDetector::new(&cfg);
+    pub(crate) fn new() -> Self {
         AdaptState {
-            cfg,
-            slow_detector,
-            stall_detector,
+            slow_detector: DriftDetector::new(),
+            stall_detector: DriftDetector::new(),
             layer_baseline: None,
             step_slow0: 0,
             layer_slow: Vec::new(),
@@ -409,15 +370,15 @@ impl AdaptState {
         let mut divergent = Vec::new();
         for (layer, &now) in cur.iter().enumerate().take(num_layers) {
             let b = base.get(layer).copied().unwrap_or(0);
-            let threshold = ((b as f64) * self.cfg.drift_threshold) as u64;
-            if now > threshold.max(b + self.cfg.layer_noise_floor) {
+            let threshold = ((b as f64) * DRIFT_THRESHOLD) as u64;
+            if now > threshold.max(b + LAYER_NOISE_FLOOR) {
                 divergent.push(layer);
             }
         }
         // Global drift without a per-layer culprit (e.g. uniform bandwidth
         // degradation) still warrants a full refresh.
         if divergent.is_empty()
-            || (divergent.len() as f64) >= self.cfg.full_reprofile_fraction * num_layers as f64
+            || (divergent.len() as f64) >= FULL_REPROFILE_FRACTION * num_layers as f64
         {
             return all();
         }
@@ -430,26 +391,17 @@ mod tests {
     use super::*;
     use sentinel_util::ToJson;
 
-    fn fast_cfg() -> AdaptConfig {
-        // Thresholds pinned so these tests exercise detector *mechanics*
-        // (calibration, trip counting, hysteresis) independent of the
-        // shipped default sensitivity.
-        AdaptConfig {
-            trip_steps: 2,
-            noise_floor: 1.0,
-            drift_threshold: 2.0,
-            clear_threshold: 1.25,
-            ..AdaptConfig::default()
-        }
-    }
+    // The signal values below sit on the shipped constants: baseline 100
+    // (above the 64 noise floor), trip at ratio 1.5 for two steps, clear at
+    // 1.25, and an EWMA that halves the distance to each sample.
 
     #[test]
     fn detector_calibrates_then_trips_after_consecutive_excursions() {
-        let mut d = DriftDetector::new(&fast_cfg());
+        let mut d = DriftDetector::new();
         assert_eq!(d.observe(100.0), DriftVerdict::Calm); // calibrates
         assert_eq!(d.baseline(), Some(100.0));
         assert_eq!(d.observe(100.0), DriftVerdict::Calm);
-        // One hot step is Elevated, not Drifted (trip_steps = 2)…
+        // One hot step is Elevated, not Drifted (TRIP_STEPS = 2)…
         assert!(matches!(d.observe(1_000.0), DriftVerdict::Elevated { .. }));
         // …the second consecutive one trips.
         assert!(matches!(d.observe(1_000.0), DriftVerdict::Drifted { .. }));
@@ -457,48 +409,57 @@ mod tests {
 
     #[test]
     fn detector_hysteresis_holds_until_clear_threshold() {
-        let mut d = DriftDetector::new(&fast_cfg());
+        let mut d = DriftDetector::new();
         d.observe(100.0);
         d.observe(1_000.0);
-        assert!(matches!(d.observe(1_000.0), DriftVerdict::Drifted { .. }));
-        // Dropping below the trip threshold but above clear stays Drifted
-        // (EWMA at this point is well above 125).
-        assert!(matches!(d.observe(150.0), DriftVerdict::Drifted { .. }));
-        // Sustained quiet decays the EWMA under clear_threshold × baseline.
-        let mut verdict = d.observe(100.0);
-        for _ in 0..8 {
-            verdict = d.observe(100.0);
+        assert!(matches!(d.observe(1_000.0), DriftVerdict::Drifted { .. })); // EWMA 775
+        // Quiet steps decay the EWMA: 437.5, 268.75, 184.375…
+        for _ in 0..3 {
+            assert!(matches!(d.observe(100.0), DriftVerdict::Drifted { .. }));
         }
-        assert_eq!(verdict, DriftVerdict::Calm);
+        // …then 142.1875: below the trip ratio but above the clear ratio, so
+        // the tripped detector stays Drifted…
+        let held = d.observe(100.0);
+        assert!(
+            matches!(held, DriftVerdict::Drifted { ratio }
+                if ratio < DRIFT_THRESHOLD && ratio > CLEAR_THRESHOLD),
+            "{held:?}"
+        );
+        // …and clears only at 121.09375, under CLEAR_THRESHOLD × baseline.
+        assert_eq!(d.observe(100.0), DriftVerdict::Calm);
     }
 
     #[test]
     fn detector_interrupted_excursions_do_not_trip() {
-        let mut d = DriftDetector::new(&fast_cfg());
+        let mut d = DriftDetector::new();
         d.observe(100.0);
-        // EWMA of (100, 400) = 250 → ratio 2.5: one hot step, Elevated.
-        assert!(matches!(d.observe(400.0), DriftVerdict::Elevated { .. }));
-        // A calm step decays the EWMA under threshold and resets the
-        // consecutive counter…
+        // EWMA of (100, 250) = 175 → ratio 1.75: one hot step, Elevated.
+        assert!(matches!(d.observe(250.0), DriftVerdict::Elevated { .. }));
+        // A calm step decays the EWMA to 137.5, under the trip ratio, and
+        // resets the consecutive counter…
         assert_eq!(d.observe(100.0), DriftVerdict::Calm);
-        // …so the next excursion starts over at Elevated, not Drifted.
-        assert!(matches!(d.observe(400.0), DriftVerdict::Elevated { .. }));
+        // …so the next excursion (EWMA 193.75) starts over at Elevated, not
+        // Drifted.
+        assert!(matches!(d.observe(250.0), DriftVerdict::Elevated { .. }));
     }
 
     #[test]
     fn detector_noise_floor_mutes_quiet_signals() {
-        let cfg = AdaptConfig { noise_floor: 64.0, trip_steps: 1, ..AdaptConfig::default() };
-        let mut d = DriftDetector::new(&cfg);
+        let mut d = DriftDetector::new();
         d.observe(2.0); // near-zero baseline
-        // 10× the baseline but under the floor: still calm.
+        // 10× the baseline but the EWMA (11) is under the floor: still calm.
         assert_eq!(d.observe(20.0), DriftVerdict::Calm);
-        // Above the floor against a sub-floor baseline: maximal drift.
-        assert!(matches!(d.observe(500.0), DriftVerdict::Drifted { .. }));
+        // Above the floor against a sub-floor baseline: maximal drift, which
+        // still needs TRIP_STEPS consecutive steps to trip.
+        let v = d.observe(500.0);
+        assert!(matches!(v, DriftVerdict::Elevated { ratio } if ratio.is_infinite()), "{v:?}");
+        let v = d.observe(500.0);
+        assert!(matches!(v, DriftVerdict::Drifted { ratio } if ratio.is_infinite()), "{v:?}");
     }
 
     #[test]
     fn detector_reset_recalibrates() {
-        let mut d = DriftDetector::new(&fast_cfg());
+        let mut d = DriftDetector::new();
         d.observe(100.0);
         d.observe(1_000.0);
         d.observe(1_000.0);
@@ -512,11 +473,7 @@ mod tests {
 
     #[test]
     fn divergent_layers_localize_or_widen() {
-        let mut st = AdaptState::new(AdaptConfig {
-            layer_noise_floor: 10,
-            full_reprofile_fraction: 0.5,
-            ..AdaptConfig::default()
-        });
+        let mut st = AdaptState::new();
         st.layer_baseline = Some(vec![100, 100, 100, 100]);
         // One layer hot out of four: localized.
         let (layers, full) = st.divergent_layers(Some(&[100, 400, 100, 100]), 4);
@@ -524,9 +481,10 @@ mod tests {
         // Two of four (= the 0.5 fraction): widened to all.
         let (layers, full) = st.divergent_layers(Some(&[400, 400, 100, 100]), 4);
         assert_eq!((layers, full), (vec![0, 1, 2, 3], true));
-        // Sub-floor absolute deltas never diverge even at a high ratio.
+        // Sub-floor absolute deltas (under LAYER_NOISE_FLOOR = 16) never
+        // diverge even at a high ratio.
         st.layer_baseline = Some(vec![0, 0]);
-        let (layers, full) = st.divergent_layers(Some(&[5, 5]), 2);
+        let (layers, full) = st.divergent_layers(Some(&[15, 15]), 2);
         assert_eq!((layers, full), (vec![0, 1], true)); // empty → widened
         // No attribution at all: conservatively full.
         let (layers, full) = st.divergent_layers(None, 3);
@@ -535,7 +493,7 @@ mod tests {
 
     #[test]
     fn warnings_render_and_accumulate() {
-        let mut st = AdaptState::new(AdaptConfig::default());
+        let mut st = AdaptState::new();
         st.warn(&AdaptWarning::ResolveZeroBudget { fast_bytes: 10, reserve_bytes: 20 });
         st.degrade_observation(&[TensorId(3), TensorId(4)], "boom");
         st.warn(&AdaptWarning::ResolveLimitReached { limit: 3 });

@@ -52,80 +52,10 @@ use sentinel_util::{Json, ToJson};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// How the fleet's fast-tier pages are divided between tenants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QuotaPolicy {
-    /// Weighted max-min (water-filling) over the *active* tenants,
-    /// recomputed at every admission attempt and release. Under contention
-    /// each tenant gets capacity proportional to its weight; slack from
-    /// tenants demanding less than their share is refilled to the rest.
-    /// Work-conserving: residual capacity left after every demand is met is
-    /// still handed out by weight, so a lone tenant owns the whole fleet —
-    /// which is also what makes a single-job cluster byte-identical to the
-    /// plain runtime (an unowned remainder would change `free_pages` and
-    /// with it the policy's planning).
-    WeightedMaxMin,
-    /// A fixed weighted share of the fleet computed over *all* jobs in the
-    /// trace, assigned at admission and never changed. No tenant's quota
-    /// ever depends on another tenant's runtime behaviour, which makes
-    /// per-tenant reports independent of cross-tenant perturbations (the
-    /// fault-isolation suite runs in this mode).
-    StaticWeighted,
-}
-
-/// Cluster-wide configuration: the shared platform plus scheduling policy.
-/// Every tenant runs Sentinel with [`SentinelConfig::default`].
-#[derive(Debug, Clone)]
-pub struct ClusterConfig {
-    /// The fleet platform. `hm.fast.capacity_bytes` is the *shared* fleet
-    /// fast-tier capacity every quota is carved from.
-    pub hm: HmConfig,
-    /// Fairness policy dividing fast-tier pages between tenants.
-    pub quota: QuotaPolicy,
-    /// Minimum fraction of a job's fast-tier demand that must be
-    /// allocatable before it is admitted; arrivals that cannot get it wait
-    /// (FIFO) until capacity releases.
-    pub min_quota_frac: f64,
-    /// Scale each tenant's migration-channel bandwidth to its weight share
-    /// of the active tenants (`false` gives every tenant the full
-    /// channels, as if migration bandwidth were not contended).
-    pub lane_shares: bool,
-}
-
-impl ClusterConfig {
-    /// A default-policy configuration for the given fleet platform:
-    /// weighted max-min quotas, a 10% admission floor, lane shares on.
-    #[must_use]
-    pub fn new(hm: HmConfig) -> Self {
-        ClusterConfig {
-            hm,
-            quota: QuotaPolicy::WeightedMaxMin,
-            min_quota_frac: 0.1,
-            lane_shares: true,
-        }
-    }
-
-    /// Replace the quota policy.
-    #[must_use]
-    pub fn with_quota(mut self, quota: QuotaPolicy) -> Self {
-        self.quota = quota;
-        self
-    }
-
-    /// Replace the admission floor fraction.
-    #[must_use]
-    pub fn with_min_quota_frac(mut self, frac: f64) -> Self {
-        self.min_quota_frac = frac;
-        self
-    }
-
-    /// Enable or disable per-tenant migration lane shares.
-    #[must_use]
-    pub fn with_lane_shares(mut self, on: bool) -> Self {
-        self.lane_shares = on;
-        self
-    }
-}
+/// Minimum fraction of a job's peak footprint that must be allocatable
+/// before it is admitted; arrivals that cannot get it wait (FIFO) until
+/// capacity releases. `Run::min_pages` also floors it at 1 MiB.
+const MIN_QUOTA_FRAC: f64 = 0.1;
 
 /// One job of the arrival trace.
 #[derive(Debug, Clone)]
@@ -367,6 +297,20 @@ pub fn percentile_ns(sorted: &[Ns], p: u64) -> Ns {
     sorted[(rank - 1) as usize]
 }
 
+/// Split `amount` pages in proportion to `weights`, each share rounded
+/// down, then give the rounding remainder one page at a time to the lowest
+/// indexes.
+fn split_by_weight(amount: u64, weights: &[u64]) -> Vec<u64> {
+    let wsum: u128 = weights.iter().map(|&w| u128::from(w)).sum::<u128>().max(1);
+    let mut shares: Vec<u64> =
+        weights.iter().map(|&w| (u128::from(amount) * u128::from(w) / wsum) as u64).collect();
+    let leftover = amount - shares.iter().sum::<u64>();
+    for s in shares.iter_mut().take(usize::try_from(leftover).unwrap_or(usize::MAX)) {
+        *s += 1;
+    }
+    shares
+}
+
 /// Weighted max-min (water-filling) allocation of `total` pages across
 /// `(weight, demand)` pairs: repeatedly split the remainder proportionally
 /// to weight among unsatisfied tenants, capping each at its demand, until
@@ -382,19 +326,8 @@ pub fn weighted_max_min(total: u64, jobs: &[(u64, u64)]) -> Vec<u64> {
         if unsat.is_empty() || remaining == 0 {
             break;
         }
-        let wsum: u128 = unsat.iter().map(|&i| u128::from(jobs[i].0)).sum();
-        let mut shares: Vec<u64> = unsat
-            .iter()
-            .map(|&i| (u128::from(remaining) * u128::from(jobs[i].0) / wsum) as u64)
-            .collect();
-        let mut leftover = remaining - shares.iter().sum::<u64>();
-        for s in &mut shares {
-            if leftover == 0 {
-                break;
-            }
-            *s += 1;
-            leftover -= 1;
-        }
+        let weights: Vec<u64> = unsat.iter().map(|&i| jobs[i].0).collect();
+        let shares = split_by_weight(remaining, &weights);
         let mut progressed = false;
         for (k, &i) in unsat.iter().enumerate() {
             let give = shares[k].min(jobs[i].1 - alloc[i]);
@@ -412,28 +345,17 @@ pub fn weighted_max_min(total: u64, jobs: &[(u64, u64)]) -> Vec<u64> {
 }
 
 /// Work-conserving targets: [`weighted_max_min`], then the residual (the
-/// part of `total` left once every demand is met) distributed by weight,
-/// remainder pages to the lowest indexes.
+/// part of `total` left once every demand is met) distributed by weight.
+/// Handing out the residual is what lets a lone tenant own the whole fleet,
+/// which keeps a single-job cluster byte-identical to the plain runtime (an
+/// unowned remainder would change `free_pages` and with it the policy's
+/// planning).
 fn filled_targets(total: u64, jobs: &[(u64, u64)]) -> Vec<u64> {
     let mut alloc = weighted_max_min(total, jobs);
     let residual = total - alloc.iter().sum::<u64>();
-    if residual > 0 && !jobs.is_empty() {
-        let wsum: u128 = jobs.iter().map(|j| u128::from(j.0)).sum::<u128>().max(1);
-        let mut extras: Vec<u64> = jobs
-            .iter()
-            .map(|j| (u128::from(residual) * u128::from(j.0) / wsum) as u64)
-            .collect();
-        let mut leftover = residual - extras.iter().sum::<u64>();
-        for e in &mut extras {
-            if leftover == 0 {
-                break;
-            }
-            *e += 1;
-            leftover -= 1;
-        }
-        for (a, e) in alloc.iter_mut().zip(extras) {
-            *a += e;
-        }
+    let weights: Vec<u64> = jobs.iter().map(|j| j.0).collect();
+    for (a, e) in alloc.iter_mut().zip(split_by_weight(residual, &weights)) {
+        *a += e;
     }
     alloc
 }
@@ -501,11 +423,12 @@ enum Slot<'g> {
     Rejected(TenantReport),
 }
 
-/// The cluster scheduler. Build one with a [`ClusterConfig`], then
-/// [`run`](ClusterScheduler::run) an arrival trace.
+/// The cluster scheduler. Build one for the fleet platform, then
+/// [`run`](ClusterScheduler::run) an arrival trace. Every tenant runs
+/// Sentinel with [`SentinelConfig::default`].
 ///
 /// ```
-/// use sentinel_core::{ClusterConfig, ClusterScheduler, JobSpec};
+/// use sentinel_core::{ClusterScheduler, JobSpec};
 /// use sentinel_mem::HmConfig;
 /// use sentinel_models::{ModelSpec, ModelZoo};
 ///
@@ -518,7 +441,7 @@ enum Slot<'g> {
 ///     JobSpec::new("a", &graph, 0, 6),
 ///     JobSpec::new("b", &graph, 1_000_000, 6).with_weight(2),
 /// ];
-/// let outcome = ClusterScheduler::new(ClusterConfig::new(hm)).run(&jobs)?;
+/// let outcome = ClusterScheduler::new(hm).run(&jobs)?;
 /// assert_eq!(outcome.admissions, 2);
 /// assert!(outcome.tenants.iter().all(|t| t.completed_ns.is_some()));
 /// # Ok(())
@@ -526,20 +449,22 @@ enum Slot<'g> {
 /// ```
 #[derive(Debug)]
 pub struct ClusterScheduler {
-    cfg: ClusterConfig,
+    /// The fleet platform. `hm.fast.capacity_bytes` is the *shared* fleet
+    /// fast-tier capacity every quota is carved from.
+    hm: HmConfig,
 }
 
 impl ClusterScheduler {
-    /// Build a scheduler for the given fleet configuration.
+    /// Build a scheduler for the given fleet platform.
     #[must_use]
-    pub fn new(cfg: ClusterConfig) -> Self {
-        ClusterScheduler { cfg }
+    pub fn new(hm: HmConfig) -> Self {
+        ClusterScheduler { hm }
     }
 
     /// The fleet's fast-tier capacity in pages.
     #[must_use]
     pub fn fleet_fast_pages(&self) -> u64 {
-        self.cfg.hm.fast.capacity_pages(self.cfg.hm.page_size)
+        self.hm.fast.capacity_pages(self.hm.page_size)
     }
 
     /// Run the arrival trace to completion.
@@ -550,13 +475,13 @@ impl ClusterScheduler {
     /// policy invariant violation or solver error), identically to the
     /// single-runtime path.
     pub fn run<'g>(&self, jobs: &[JobSpec<'g>]) -> Result<ClusterOutcome, SentinelError> {
-        Run::new(&self.cfg, jobs).drive()
+        Run::new(&self.hm, jobs).drive()
     }
 }
 
 /// One in-flight cluster run: the scheduler state machine.
 struct Run<'a, 'g> {
-    cfg: &'a ClusterConfig,
+    hm: &'a HmConfig,
     jobs: &'a [JobSpec<'g>],
     fleet_pages: u64,
     slots: Vec<Slot<'g>>,
@@ -570,28 +495,14 @@ struct Run<'a, 'g> {
     admissions: u64,
     rejected: u64,
     makespan_ns: Ns,
-    /// Static per-job quota shares (pages), precomputed for
-    /// [`QuotaPolicy::StaticWeighted`].
-    static_quota: Vec<u64>,
 }
 
 impl<'a, 'g> Run<'a, 'g> {
-    fn new(cfg: &'a ClusterConfig, jobs: &'a [JobSpec<'g>]) -> Self {
-        let fleet_pages = cfg.hm.fast.capacity_pages(cfg.hm.page_size);
-        let total_weight: u128 = jobs.iter().map(|j| u128::from(j.weight)).sum();
-        let static_quota = jobs
-            .iter()
-            .map(|j| {
-                let demand = Self::demand_pages_of(cfg, j);
-                let share = (u128::from(fleet_pages) * u128::from(j.weight)
-                    / total_weight.max(1)) as u64;
-                share.min(demand).max(1)
-            })
-            .collect();
+    fn new(hm: &'a HmConfig, jobs: &'a [JobSpec<'g>]) -> Self {
         Run {
-            cfg,
+            hm,
             jobs,
-            fleet_pages,
+            fleet_pages: hm.fast.capacity_pages(hm.page_size),
             slots: (0..jobs.len()).map(|_| Slot::Idle).collect(),
             waiting: Vec::new(),
             queue: BinaryHeap::new(),
@@ -600,25 +511,20 @@ impl<'a, 'g> Run<'a, 'g> {
             admissions: 0,
             rejected: 0,
             makespan_ns: 0,
-            static_quota,
         }
     }
 
     /// Fast-tier pages the job would use if it could: its peak footprint.
-    fn demand_pages_of(cfg: &ClusterConfig, spec: &JobSpec<'_>) -> u64 {
-        pages_for_bytes(spec.graph.peak_live_bytes(), cfg.hm.page_size)
-    }
-
     fn demand_pages(&self, job: usize) -> u64 {
-        Self::demand_pages_of(self.cfg, &self.jobs[job])
+        pages_for_bytes(self.jobs[job].graph.peak_live_bytes(), self.hm.page_size)
     }
 
-    /// Admission floor: `min_quota_frac` of the demand, at least 1 MiB
+    /// Admission floor: [`MIN_QUOTA_FRAC`] of the demand, at least 1 MiB
     /// (the same floor [`fast_sized_for`](crate::fast_sized_for) applies).
     fn min_pages(&self, job: usize) -> u64 {
         let spec = &self.jobs[job];
-        let floor_bytes = (spec.graph.peak_live_bytes() as f64 * self.cfg.min_quota_frac).ceil();
-        pages_for_bytes((floor_bytes as u64).max(1 << 20), self.cfg.hm.page_size)
+        let floor_bytes = (spec.graph.peak_live_bytes() as f64 * MIN_QUOTA_FRAC).ceil();
+        pages_for_bytes((floor_bytes as u64).max(1 << 20), self.hm.page_size)
     }
 
     fn active_indexes(&self) -> Vec<usize> {
@@ -717,9 +623,6 @@ impl<'a, 'g> Run<'a, 'g> {
     /// whose pressure incumbents must start repaying even before it can be
     /// admitted) and stage them as pending boundary updates.
     fn retarget_quotas(&mut self) {
-        if self.cfg.quota != QuotaPolicy::WeightedMaxMin {
-            return;
-        }
         let mut members = self.active_indexes();
         if let Some(&head) = self.waiting.first() {
             members.push(head);
@@ -735,11 +638,9 @@ impl<'a, 'g> Run<'a, 'g> {
             let floor = self.min_pages(i);
             if let Slot::Active(a) = &mut self.slots[i] {
                 a.pending_quota = targets[k].max(floor).max(1);
-                if self.cfg.lane_shares {
-                    let w = self.jobs[i].weight;
-                    let g = gcd(w, total_weight);
-                    a.pending_share = (w / g, total_weight / g);
-                }
+                let w = self.jobs[i].weight;
+                let g = gcd(w, total_weight);
+                a.pending_share = (w / g, total_weight / g);
             }
         }
     }
@@ -749,14 +650,9 @@ impl<'a, 'g> Run<'a, 'g> {
     fn try_admissions(&mut self, now: Ns) -> Result<(), SentinelError> {
         while let Some(&job) = self.waiting.first() {
             let min = self.min_pages(job);
-            // Structurally impossible admissions are rejections, not
-            // eternal waits: the floor exceeds the whole fleet, or — under
-            // static quotas, where the share never changes — it exceeds
-            // the job's fixed share.
-            let hopeless = min > self.fleet_pages
-                || (self.cfg.quota == QuotaPolicy::StaticWeighted
-                    && self.static_quota[job] < min);
-            if hopeless {
+            // A structurally impossible admission is a rejection, not an
+            // eternal wait: the floor exceeds the whole fleet.
+            if min > self.fleet_pages {
                 self.waiting.remove(0);
                 self.rejected += 1;
                 let report = self.rejected_report(job);
@@ -765,20 +661,12 @@ impl<'a, 'g> Run<'a, 'g> {
                 continue;
             }
             let headroom = self.fleet_pages - self.fleet_reserved();
-            let target = match self.cfg.quota {
-                QuotaPolicy::StaticWeighted => self.static_quota[job],
-                QuotaPolicy::WeightedMaxMin => {
-                    let mut members = self.active_indexes();
-                    members.push(job);
-                    let demands: Vec<(u64, u64)> = members
-                        .iter()
-                        .map(|&i| (self.jobs[i].weight, self.demand_pages(i)))
-                        .collect();
-                    *filled_targets(self.fleet_pages, &demands)
-                        .last()
-                        .expect("candidate is a member")
-                }
-            };
+            let mut members = self.active_indexes();
+            members.push(job);
+            let demands: Vec<(u64, u64)> =
+                members.iter().map(|&i| (self.jobs[i].weight, self.demand_pages(i))).collect();
+            let target =
+                *filled_targets(self.fleet_pages, &demands).last().expect("candidate is a member");
             let grant = target.min(headroom);
             if grant < min {
                 break; // Head of the queue must wait; FIFO blocks the rest.
@@ -792,7 +680,7 @@ impl<'a, 'g> Run<'a, 'g> {
 
     fn admit(&mut self, now: Ns, job: usize, quota: u64) -> Result<(), SentinelError> {
         let spec = &self.jobs[job];
-        let mut mem = MemorySystem::new(self.cfg.hm.clone());
+        let mut mem = MemorySystem::new(self.hm.clone());
         if let Some((profile, seed)) = &spec.fault {
             mem.set_fault_injector(FaultInjector::new(*profile, *seed));
         }
@@ -1055,8 +943,7 @@ mod tests {
             let solo = SentinelRuntime::new(SentinelConfig::default(), hm.clone())
                 .train(&g, 6)
                 .unwrap();
-            let outcome = ClusterScheduler::new(ClusterConfig::new(hm))
-                .run(&[JobSpec::new("solo", &g, 0, 6)])
+            let outcome = ClusterScheduler::new(hm).run(&[JobSpec::new("solo", &g, 0, 6)])
                 .unwrap();
             assert_eq!(outcome.admissions, 1);
             assert_eq!(outcome.evictions, 0);
@@ -1073,7 +960,7 @@ mod tests {
             JobSpec::new("a", &g1, 0, 6).with_weight(2),
             JobSpec::new("b", &g2, 500_000, 6),
         ];
-        let outcome = ClusterScheduler::new(ClusterConfig::new(hm)).run(&jobs).unwrap();
+        let outcome = ClusterScheduler::new(hm).run(&jobs).unwrap();
         assert_eq!(outcome.admissions, 2);
         for t in &outcome.tenants {
             assert!(t.completed_ns.is_some(), "tenant {} did not finish", t.name);
@@ -1089,9 +976,9 @@ mod tests {
     #[test]
     fn step_end_fires_before_an_arrival_at_the_same_instant() {
         let g = graph();
-        let cfg = ClusterConfig::new(fleet_for(&[&g, &g], 0.25));
+        let hm = fleet_for(&[&g, &g], 0.25);
         // A non-final step-end instant of job A, read from its solo log.
-        let solo = ClusterScheduler::new(cfg.clone()).run(&[JobSpec::new("a", &g, 0, 6)]).unwrap();
+        let solo = ClusterScheduler::new(hm.clone()).run(&[JobSpec::new("a", &g, 0, 6)]).unwrap();
         let tie = solo
             .events
             .iter()
@@ -1099,7 +986,7 @@ mod tests {
             .expect("A ends step 1")
             .at;
         let jobs = [JobSpec::new("a", &g, 0, 6), JobSpec::new("b", &g, tie, 6)];
-        let outcome = ClusterScheduler::new(cfg).run(&jobs).unwrap();
+        let outcome = ClusterScheduler::new(hm).run(&jobs).unwrap();
         let at_tie = |job: usize, kind: fn(&ClusterEventKind) -> bool| {
             outcome.events.iter().position(|e| e.at == tie && e.job == job && kind(&e.kind))
         };
@@ -1117,13 +1004,13 @@ mod tests {
     #[test]
     fn same_instant_arrivals_are_logged_in_job_order() {
         let g = graph();
-        let cfg = ClusterConfig::new(fleet_for(&[&g, &g, &g], 0.25));
+        let hm = fleet_for(&[&g, &g, &g], 0.25);
         let jobs = [
             JobSpec::new("a", &g, 5_000, 2),
             JobSpec::new("b", &g, 5_000, 2),
             JobSpec::new("c", &g, 5_000, 2),
         ];
-        let outcome = ClusterScheduler::new(cfg).run(&jobs).unwrap();
+        let outcome = ClusterScheduler::new(hm).run(&jobs).unwrap();
         let arrivals: Vec<(Ns, usize)> = outcome
             .events
             .iter()
@@ -1136,11 +1023,9 @@ mod tests {
     #[test]
     fn impossible_admission_floor_is_rejected_not_hung() {
         let g = graph();
-        // Fleet far below the 10% admission floor of the model.
-        let hm = HmConfig::optane_like().without_cache().with_fast_capacity(1 << 20);
-        let cfg = ClusterConfig::new(hm).with_min_quota_frac(0.9);
-        let outcome =
-            ClusterScheduler::new(cfg).run(&[JobSpec::new("big", &g, 0, 4)]).unwrap();
+        // A fleet below the 1 MiB floor every admission needs.
+        let hm = HmConfig::optane_like().without_cache().with_fast_capacity(1 << 19);
+        let outcome = ClusterScheduler::new(hm).run(&[JobSpec::new("big", &g, 0, 4)]).unwrap();
         assert_eq!(outcome.rejected, 1);
         assert_eq!(outcome.admissions, 0);
         assert!(outcome.tenants[0].admitted_ns.is_none());

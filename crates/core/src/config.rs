@@ -1,7 +1,5 @@
 //! Sentinel runtime configuration and ablation switches.
 
-use crate::adapt::AdaptConfig;
-
 /// How Sentinel resolves Case 3 — migrations that did not finish before the
 /// interval that needs their tensors (Section IV-D).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,12 +60,12 @@ pub struct SentinelConfig {
     /// synchronization cost, and Case 3 forced to [`Case3Policy::AlwaysWait`].
     pub gpu: bool,
     /// Drift-adaptive control loop (`crate::adapt`): online drift
-    /// detection, incremental re-profiling and plan re-solve. `None`
+    /// detection, incremental re-profiling and plan re-solve. `false`
     /// (the default) runs the static policy byte-identically to builds
     /// without the feature. Excluded from the JSON serialization so the
     /// committed goldens — all produced with adaptation off — stay
     /// byte-stable.
-    pub adaptive: Option<AdaptConfig>,
+    pub adaptive: bool,
 }
 
 impl Default for SentinelConfig {
@@ -81,7 +79,7 @@ impl Default for SentinelConfig {
             case3: Case3Policy::TestAndTrial,
             hot_first: true,
             gpu: false,
-            adaptive: None,
+            adaptive: false,
         }
     }
 }
@@ -124,10 +122,10 @@ impl SentinelConfig {
         self
     }
 
-    /// Enable the drift-adaptive control loop with the given tuning.
+    /// Enable the drift-adaptive control loop.
     #[must_use]
-    pub fn with_adaptive(mut self, adapt: AdaptConfig) -> Self {
-        self.adaptive = Some(adapt);
+    pub fn with_adaptive(mut self) -> Self {
+        self.adaptive = true;
         self
     }
 }
@@ -171,9 +169,9 @@ mod tests {
     #[test]
     fn adaptive_and_retry_default_off_and_stay_out_of_json() {
         use sentinel_util::ToJson;
-        assert!(SentinelConfig::default().adaptive.is_none());
-        let on = SentinelConfig::default().with_adaptive(AdaptConfig::default());
-        assert!(on.adaptive.is_some());
+        assert!(!SentinelConfig::default().adaptive);
+        let on = SentinelConfig::default().with_adaptive();
+        assert!(on.adaptive);
         // Golden stability: the knob does not appear in the serialized
         // config, and neither does the memory system's fixed retry policy.
         let json = on.to_json().to_string();

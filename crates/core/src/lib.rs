@@ -26,10 +26,11 @@
 //!   ablations ([`Ablation`]) and the GPU variant (Section V).
 //! * [`SentinelRuntime`] — one-call orchestration: profile, reorganize,
 //!   train, report.
-//! * [`AdaptConfig`] — the optional drift-adaptive control loop: online
-//!   drift detection over the fault/stall counters, incremental
-//!   re-profiling of divergent layers, and plan re-solve with graceful
-//!   degradation (off by default; byte-transparent when off).
+//! * [`SentinelConfig::with_adaptive`] — the optional drift-adaptive
+//!   control loop: online drift detection ([`DriftDetector`]) over the
+//!   fault/stall counters, incremental re-profiling of divergent layers,
+//!   and plan re-solve with graceful degradation (off by default;
+//!   byte-transparent when off).
 //!
 //! See [`SentinelRuntime`] for a runnable example.
 
@@ -44,10 +45,10 @@ mod reorg;
 mod runtime;
 mod schedule;
 
-pub use adapt::{AdaptConfig, AdaptReport, AdaptWarning, DriftDetector, DriftVerdict};
+pub use adapt::{AdaptReport, AdaptWarning, DriftDetector, DriftVerdict};
 pub use cluster::{
-    percentile_ns, weighted_max_min, ClusterConfig, ClusterEvent, ClusterEventKind,
-    ClusterOutcome, ClusterScheduler, JobSpec, QuotaPolicy, TenantReport,
+    percentile_ns, weighted_max_min, ClusterEvent, ClusterEventKind, ClusterOutcome,
+    ClusterScheduler, JobSpec, TenantReport,
 };
 pub use config::{Ablation, Case3Policy, SentinelConfig};
 pub use dynamic::{DataflowTracker, DynamicOutcome, DynamicRuntime, MAX_BUCKETS};

@@ -9,7 +9,10 @@
 //! first two phases are the profiler's own [`ProfilingPolicy`]: the policy
 //! forwards its hooks to it and plans from the report it builds.
 
-use crate::adapt::{AdaptReport, AdaptState, AdaptWarning, DriftVerdict, Observation, PendingObservation};
+use crate::adapt::{
+    AdaptReport, AdaptState, AdaptWarning, DriftVerdict, Observation, PendingObservation,
+    MAX_RESOLVES_PER_RUN,
+};
 use crate::config::{Case3Policy, SentinelConfig};
 use crate::error::SentinelError;
 use crate::interval::{solve_mil, IntervalPlan, MilSolution};
@@ -164,7 +167,7 @@ impl SentinelPolicy {
     /// Build a policy from a configuration.
     #[must_use]
     pub fn new(cfg: SentinelConfig) -> Self {
-        let adapt = cfg.adaptive.clone().map(AdaptState::new);
+        let adapt = cfg.adaptive.then(AdaptState::new);
         SentinelPolicy {
             profiling: Some(ProfilingPolicy::new(cfg.profile_warmup)),
             cfg,
@@ -636,10 +639,6 @@ impl SentinelPolicy {
         adapt.layer_slow.clear();
         adapt.layer_slow.resize(ctx.graph().num_layers(), 0);
         let Some(pending) = adapt.pending.take() else { return };
-        if adapt.cfg.force_reprofile_fault {
-            adapt.degrade_observation(&pending.tensors, "forced re-profile fault (test hook)");
-            return;
-        }
         // Poison the targets already resident; ones (re)allocated later in
         // the step are poisoned by `on_alloc` as they arrive.
         let mut ranges = HashMap::new();
@@ -693,11 +692,10 @@ impl SentinelPolicy {
         }
         adapt.drift_handled = true;
         adapt.report.drift_events += 1;
-        if adapt.resolves >= adapt.cfg.max_resolves_per_run {
+        if adapt.resolves >= MAX_RESOLVES_PER_RUN {
             if !adapt.limit_warned {
                 adapt.limit_warned = true;
-                let limit = adapt.cfg.max_resolves_per_run;
-                adapt.warn(&AdaptWarning::ResolveLimitReached { limit });
+                adapt.warn(&AdaptWarning::ResolveLimitReached { limit: MAX_RESOLVES_PER_RUN });
             }
             return;
         }
@@ -780,20 +778,10 @@ impl SentinelPolicy {
         self.stats.reserve_pages = self.stats.reserve_pages.min(pages_for_bytes(fast_bytes, page_size) / 2);
         let reserve_bytes = self.stats.reserve_pages * page_size;
         let bw = ctx.mem().effective_promote_bw_bytes_per_ns();
-        let force_zero = self.adapt.as_ref().is_some_and(|a| a.cfg.force_zero_budget);
-        let solved = if force_zero {
-            Err(SentinelError::ZeroMigrationBudget {
-                fast_bytes,
-                reserve_bytes: fast_bytes.max(reserve_bytes),
-            })
-        } else {
-            let (Some(schedule), Some(profile)) = (self.schedule.as_ref(), self.profile.as_ref())
-            else {
-                return;
-            };
-            solve_mil(graph, schedule, profile, fast_bytes, reserve_bytes, bw)
+        let (Some(schedule), Some(profile)) = (self.schedule.as_ref(), self.profile.as_ref()) else {
+            return;
         };
-        match solved {
+        match solve_mil(graph, schedule, profile, fast_bytes, reserve_bytes, bw) {
             Ok(solution) => {
                 // Reconcile in-flight work queued for the outgoing plan.
                 let now = ctx.now();
@@ -1160,6 +1148,74 @@ mod tests {
     fn policy_name_reflects_mode() {
         assert_eq!(SentinelPolicy::new(SentinelConfig::default()).name(), "sentinel");
         assert_eq!(SentinelPolicy::new(SentinelConfig::gpu()).name(), "sentinel-gpu");
+    }
+
+    /// The capacity-loss scenario of the bench `adaptive` experiment with
+    /// the adaptive loop on: from step 6 of 16 a quota keeps half the fast
+    /// tier. `before_step` edits the loop's state before every step; the
+    /// degradation rungs with no outside trigger start from it. Returns
+    /// every step report and the final adaptation report.
+    fn capacity_loss_run(
+        mut before_step: impl FnMut(&mut AdaptState),
+    ) -> (Vec<sentinel_dnn::StepReport>, AdaptReport) {
+        use sentinel_models::{ModelSpec, ModelZoo};
+        let graph = ModelZoo::build(&ModelSpec::resnet(32, 64).with_scale(4)).unwrap();
+        let hm = crate::fast_sized_for(sentinel_mem::HmConfig::optane_like(), &graph, 0.2);
+        let quota_pages = hm.fast.capacity_bytes / hm.page_size / 2;
+        let mut exec = sentinel_dnn::Executor::new(&graph, sentinel_mem::MemorySystem::new(hm));
+        let mut policy = SentinelPolicy::new(SentinelConfig::default().with_adaptive());
+        let mut reports = Vec::new();
+        for step in 0..16 {
+            if step == 6 {
+                exec.ctx_mut().mem_mut().set_fast_quota_pages(Some(quota_pages));
+                let excess = exec.ctx().mem().fast_quota_excess_pages();
+                policy.demote_cold_for_quota(excess, exec.ctx_mut());
+            }
+            before_step(policy.adapt.as_mut().expect("adaptive loop is on"));
+            reports.push(exec.run_step(&mut policy).expect("degraded run completes"));
+        }
+        assert!(policy.take_solver_error().is_none(), "no solver error may escape");
+        assert!(policy.violation().is_none(), "no residency violation");
+        (reports, policy.adapt_report().cloned().expect("adaptive loop is on"))
+    }
+
+    fn warnings_of(reports: &[sentinel_dnn::StepReport]) -> Vec<String> {
+        reports.iter().flat_map(|r| r.warnings.iter().cloned()).collect()
+    }
+
+    #[test]
+    fn forced_reprofile_fault_degrades_to_demand_paging_and_survives() {
+        // Every scheduled observation fails before it is armed, as a
+        // profiling fault would.
+        let (reports, adapt) = capacity_loss_run(|adapt| {
+            if let Some(pending) = adapt.pending.take() {
+                adapt.degrade_observation(&pending.tensors, "forced re-profile fault");
+            }
+        });
+        assert_eq!(reports.len(), 16, "the run stays alive on the old plan");
+        assert!(adapt.drift_events >= 1, "{adapt:?}");
+        assert_eq!(adapt.resolves, 0, "a faulted observation must not feed a re-solve");
+        assert!(adapt.degraded_tensors > 0, "targets degrade to demand paging: {adapt:?}");
+        let warnings = warnings_of(&reports);
+        assert!(
+            warnings.iter().any(|w| w.contains("re-profile failed")),
+            "typed warning surfaced in the step report: {warnings:?}"
+        );
+        // The latched report carries the same warnings.
+        assert!(adapt.warnings.iter().any(|w| w.contains("re-profile failed")), "{adapt:?}");
+    }
+
+    #[test]
+    fn resolve_budget_exhaustion_latches_a_warning_instead_of_oscillating() {
+        // The run has already spent its re-solve budget.
+        let (reports, adapt) = capacity_loss_run(|adapt| adapt.resolves = MAX_RESOLVES_PER_RUN);
+        assert_eq!(reports.len(), 16);
+        assert!(adapt.drift_events >= 1, "{adapt:?}");
+        assert_eq!(adapt.resolves, 0, "{adapt:?}");
+        assert_eq!(adapt.observation_steps, 0, "no budget, no observation step: {adapt:?}");
+        let warnings = warnings_of(&reports);
+        let limit = warnings.iter().filter(|w| w.contains("re-solve budget")).count();
+        assert_eq!(limit, 1, "one typed warning in the step reports: {warnings:?}");
     }
 }
 

@@ -1,15 +1,15 @@
-//! The degradation ladder of the adaptive control loop: when re-profiling
-//! faults or the re-solve finds no migration budget, the run must stay
-//! alive on the old plan with a typed warning in the step report — never a
-//! panic and never a silent wrong answer.
+//! The degradation ladder of the adaptive control loop: when the re-solve
+//! finds no migration budget, the run must stay alive on the old plan with
+//! a typed warning in the step report — never a panic and never a silent
+//! wrong answer.
 //!
-//! Both failure modes are forced through the `#[doc(hidden)]` test hooks on
-//! `AdaptConfig`, layered on the same mid-run capacity-loss scenario the
-//! bench `adaptive` experiment uses.
+//! Both runs use the mid-run capacity-loss scenario the bench `adaptive`
+//! experiment uses. Losing the whole fast tier is what makes the re-solve
+//! fail for real. The other rungs (a failed observation, a spent re-solve
+//! budget) have no such outside trigger; `sentinel-core`'s own policy unit
+//! tests drive them through the policy's adaptive state.
 
-use sentinel_core::{
-    fast_sized_for, AdaptConfig, AdaptReport, SentinelConfig, SentinelPolicy, SentinelStats,
-};
+use sentinel_core::{fast_sized_for, AdaptReport, SentinelConfig, SentinelPolicy, SentinelStats};
 use sentinel_dnn::{Executor, StepReport};
 use sentinel_mem::{HmConfig, MemorySystem};
 use sentinel_models::{ModelSpec, ModelZoo};
@@ -26,15 +26,16 @@ struct Run {
     quota_pages: u64,
 }
 
-/// Drive the capacity-loss scenario with the given adaptive tuning and
-/// return every step report, the final adaptation report and counters.
-fn drive(adapt: AdaptConfig) -> Run {
+/// Drive the capacity-loss scenario with the adaptive loop on: from step
+/// `PRE_STEPS` the fast tier keeps `quota_of(tier pages)` pages. Returns
+/// every step report, the final adaptation report and counters.
+fn drive(quota_of: fn(u64) -> u64) -> Run {
     let spec = ModelSpec::resnet(32, 64).with_scale(4);
     let graph = ModelZoo::build(&spec).unwrap();
     let hm = fast_sized_for(HmConfig::optane_like(), &graph, 0.2);
-    let quota_pages = hm.fast.capacity_bytes / hm.page_size / 2;
+    let quota_pages = quota_of(hm.fast.capacity_bytes / hm.page_size);
     let mut exec = Executor::new(&graph, MemorySystem::new(hm));
-    let mut policy = SentinelPolicy::new(SentinelConfig::default().with_adaptive(adapt));
+    let mut policy = SentinelPolicy::new(SentinelConfig::default().with_adaptive());
     let mut reports = Vec::new();
     for step in 0..TOTAL_STEPS {
         if step == PRE_STEPS {
@@ -57,7 +58,7 @@ fn step_warnings(reports: &[StepReport]) -> Vec<String> {
 
 #[test]
 fn healthy_loop_recovers_without_warnings() {
-    let Run { reports, adapt, stats, quota_pages } = drive(AdaptConfig::default());
+    let Run { reports, adapt, stats, quota_pages } = drive(|pages| pages / 2);
     assert_eq!(reports.len(), TOTAL_STEPS);
     assert!(adapt.drift_events >= 1);
     assert_eq!(adapt.resolves, 1, "{adapt:?}");
@@ -69,26 +70,9 @@ fn healthy_loop_recovers_without_warnings() {
 }
 
 #[test]
-fn forced_reprofile_fault_degrades_to_demand_paging_and_survives() {
-    let Run { reports, adapt, .. } =
-        drive(AdaptConfig { force_reprofile_fault: true, ..AdaptConfig::default() });
-    assert_eq!(reports.len(), TOTAL_STEPS, "the run stays alive on the old plan");
-    assert!(adapt.drift_events >= 1, "{adapt:?}");
-    assert_eq!(adapt.resolves, 0, "a faulted observation must not feed a re-solve");
-    assert!(adapt.degraded_tensors > 0, "divergent tensors fall back to demand paging: {adapt:?}");
-    let warnings = step_warnings(&reports);
-    assert!(
-        warnings.iter().any(|w| w.contains("re-profile failed")),
-        "typed warning surfaced in the step report: {warnings:?}"
-    );
-    // The latched report carries the same warnings.
-    assert!(adapt.warnings.iter().any(|w| w.contains("re-profile failed")), "{adapt:?}");
-}
-
-#[test]
 fn forced_zero_budget_resolve_keeps_the_old_plan_and_survives() {
-    let Run { reports, adapt, .. } =
-        drive(AdaptConfig { force_zero_budget: true, ..AdaptConfig::default() });
+    // A quota of zero pages leaves the re-solve no fast memory at all.
+    let Run { reports, adapt, .. } = drive(|_| 0);
     assert_eq!(reports.len(), TOTAL_STEPS, "the run stays alive on the old plan");
     assert!(adapt.observation_steps >= 1, "the observation step itself succeeded: {adapt:?}");
     assert_eq!(adapt.resolves, 0, "a zero-budget solve must not swap a plan in");
@@ -99,19 +83,4 @@ fn forced_zero_budget_resolve_keeps_the_old_plan_and_survives() {
         "typed warning surfaced in the step report: {warnings:?}"
     );
     assert!(adapt.warnings.iter().any(|w| w.contains("zero migration budget")), "{adapt:?}");
-}
-
-#[test]
-fn resolve_budget_exhaustion_latches_a_warning_instead_of_oscillating() {
-    let Run { reports, adapt, .. } =
-        drive(AdaptConfig { max_resolves_per_run: 0, ..AdaptConfig::default() });
-    assert_eq!(reports.len(), TOTAL_STEPS);
-    assert!(adapt.drift_events >= 1, "{adapt:?}");
-    assert_eq!(adapt.resolves, 0, "{adapt:?}");
-    assert_eq!(adapt.observation_steps, 0, "no budget, no observation step: {adapt:?}");
-    let warnings = step_warnings(&reports);
-    assert!(
-        warnings.iter().any(|w| w.contains("re-solve budget")),
-        "typed warning surfaced in the step report: {warnings:?}"
-    );
 }

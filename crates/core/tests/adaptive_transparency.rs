@@ -4,7 +4,7 @@
 //! byte-identical to a static run — the detector only observes until a
 //! verdict trips.
 
-use sentinel_core::{fast_sized_for, AdaptConfig, SentinelConfig, SentinelRuntime};
+use sentinel_core::{fast_sized_for, SentinelConfig, SentinelRuntime};
 use sentinel_mem::HmConfig;
 use sentinel_models::{ModelSpec, ModelZoo};
 use sentinel_util::ToJson;
@@ -17,12 +17,9 @@ fn becalmed_adaptive_loop_is_byte_transparent() {
     let off = SentinelRuntime::new(SentinelConfig::default(), hm.clone())
         .train(&graph, 8)
         .unwrap();
-    let on = SentinelRuntime::new(
-        SentinelConfig::default().with_adaptive(AdaptConfig::default()),
-        hm,
-    )
-    .train(&graph, 8)
-    .unwrap();
+    let on = SentinelRuntime::new(SentinelConfig::default().with_adaptive(), hm)
+        .train(&graph, 8)
+        .unwrap();
 
     // The full per-step record — durations, breakdowns, migration counters,
     // warnings — is byte-identical: a calm detector never perturbs the run.

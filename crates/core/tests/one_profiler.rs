@@ -1,11 +1,22 @@
 //! Sentinel plans from the profiler's own profiling step: the profile a
-//! training run records equals a standalone `Profiler` run of the same
+//! training run records equals a standalone profiling run of the same
 //! graph on the same platform, field for field, with and without warmup.
 
 use sentinel_core::{fast_sized_for, SentinelConfig, SentinelRuntime};
-use sentinel_mem::HmConfig;
+use sentinel_dnn::{Executor, Graph};
+use sentinel_mem::{HmConfig, MemorySystem};
 use sentinel_models::{ModelSpec, ModelZoo};
-use sentinel_profiler::Profiler;
+use sentinel_profiler::{ProfileReport, Profiler, ProfilingPolicy};
+
+/// What `Profiler::profile` does, after `warmup` unprofiled steps.
+fn standalone_profile(hm: &HmConfig, graph: &Graph, warmup: usize) -> ProfileReport {
+    let mut exec = Executor::new(graph, MemorySystem::new(hm.clone()));
+    let mut policy = ProfilingPolicy::new(warmup);
+    for _ in 0..=warmup {
+        exec.run_step(&mut policy).unwrap();
+    }
+    policy.take_report().expect("the profiled step builds its report")
+}
 
 #[test]
 fn runtime_profile_equals_the_standalone_profiler() {
@@ -29,8 +40,10 @@ fn runtime_profile_equals_the_standalone_profiler() {
             for warmup in [0, 2] {
                 let cfg = SentinelConfig { profile_warmup: warmup, ..cfg.clone() };
                 let run = SentinelRuntime::new(cfg, hm.clone()).train(&graph, warmup + 1).unwrap();
-                let standalone =
-                    Profiler::new(hm.clone()).warmup_steps(warmup).profile(&graph).unwrap();
+                let standalone = standalone_profile(&hm, &graph, warmup);
+                if warmup == 0 {
+                    assert_eq!(Profiler::new(hm.clone()).profile(&graph).unwrap(), standalone);
+                }
                 assert_eq!(
                     run.profile.as_ref(),
                     Some(&standalone),

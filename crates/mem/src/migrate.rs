@@ -232,6 +232,8 @@ impl Lane {
 pub struct MigrationEngine {
     /// Bandwidth per direction in bytes/ns, indexed by [`Direction::index`].
     bw: [f64; 2],
+    /// `bw` scaled by `lane_share`: what each copy is timed at.
+    share_bw: [f64; 2],
     setup_ns: Ns,
     page_size: u64,
     /// Lanes indexed `[urgent][direction]`. Urgent copies (demand faults)
@@ -242,9 +244,7 @@ pub struct MigrationEngine {
     next_id: u64,
     /// This engine's share of the platform migration bandwidth as a
     /// rational `num / den` — a multi-tenant arbiter divides the fleet's
-    /// lanes between tenants. `(1, 1)` (the default) takes the exact
-    /// unscaled path, so a sole tenant is byte-identical to a
-    /// pre-multi-tenancy engine.
+    /// lanes between tenants. Defaults to `(1, 1)`, the whole bandwidth.
     lane_share: (u64, u64),
 }
 
@@ -254,6 +254,7 @@ impl MigrationEngine {
     pub fn new(promote_bw: f64, demote_bw: f64, setup_ns: Ns, page_size: u64) -> Self {
         MigrationEngine {
             bw: [promote_bw, demote_bw],
+            share_bw: [promote_bw, demote_bw],
             setup_ns,
             page_size,
             lanes: Default::default(),
@@ -273,6 +274,7 @@ impl MigrationEngine {
     pub fn set_lane_share(&mut self, num: u64, den: u64) {
         assert!(num > 0 && num <= den, "lane share must satisfy 0 < num <= den, got {num}/{den}");
         self.lane_share = (num, den);
+        self.share_bw = self.bw.map(|bw| bw * num as f64 / den as f64);
     }
 
     /// The current lane share as `(num, den)`.
@@ -362,15 +364,7 @@ impl MigrationEngine {
     /// Copy time of `bytes` on direction `dir`'s channel at the current
     /// lane share.
     fn copy_ns(&self, bytes: u64, dir: usize) -> Ns {
-        // The exact historical expression when the share is whole, so a
-        // 1/1-share engine stays byte-identical to one without the feature.
-        if self.lane_share == (1, 1) {
-            (bytes as f64 / self.bw[dir]).ceil() as Ns
-        } else {
-            let (num, den) = self.lane_share;
-            let effective_bw = self.bw[dir] * num as f64 / den as f64;
-            (bytes as f64 / effective_bw).ceil() as Ns
-        }
+        (bytes as f64 / self.share_bw[dir]).ceil() as Ns
     }
 
     /// Earliest completion time of any in-flight batch (a page-by-page
@@ -507,6 +501,14 @@ mod tests {
         let t = e.enqueue(PageRange::new(0, 2), Direction::Promote, 1_000);
         assert_eq!(t.bytes, 8192);
         assert_eq!(t.ready_at, 1_000 + 100 + 8192);
+        // A lane share scales the copy, not the setup: a whole share times
+        // exactly like the default, a half share copies at half bandwidth.
+        for ((num, den), copy) in [((1, 1), 8192), ((1, 2), 16_384)] {
+            let mut e = engine();
+            e.set_lane_share(num, den);
+            let t = e.enqueue(PageRange::new(0, 2), Direction::Promote, 1_000);
+            assert_eq!(t.ready_at, 1_000 + 100 + copy, "share {num}/{den}");
+        }
     }
 
     #[test]

@@ -136,7 +136,8 @@ impl MemoryManager for ProfilingPolicy {
     }
 }
 
-/// Configurable profiling runner.
+/// Profiling runner: profiles the first training step on a fresh memory
+/// system of the given platform.
 ///
 /// ```
 /// use sentinel_models::{ModelSpec, ModelZoo};
@@ -154,22 +155,13 @@ impl MemoryManager for ProfilingPolicy {
 #[derive(Debug, Clone)]
 pub struct Profiler {
     cfg: HmConfig,
-    warmup_steps: usize,
 }
 
 impl Profiler {
     /// A profiler for the given platform.
     #[must_use]
     pub fn new(cfg: HmConfig) -> Self {
-        Profiler { cfg, warmup_steps: 0 }
-    }
-
-    /// Run `n` unprofiled steps first (the paper skips TensorFlow's first 10
-    /// hardware-detection steps and profiles the 11th).
-    #[must_use]
-    pub fn warmup_steps(mut self, n: usize) -> Self {
-        self.warmup_steps = n;
-        self
+        Profiler { cfg }
     }
 
     /// Profile one training step of `graph`.
@@ -180,10 +172,8 @@ impl Profiler {
     /// memory smaller than the model's peak footprint).
     pub fn profile(&self, graph: &Graph) -> Result<ProfileReport, ExecError> {
         let mut exec = Executor::new(graph, MemorySystem::new(self.cfg.clone()));
-        let mut policy = ProfilingPolicy::new(self.warmup_steps);
-        for _ in 0..=self.warmup_steps {
-            exec.run_step(&mut policy)?;
-        }
+        let mut policy = ProfilingPolicy::new(0);
+        exec.run_step(&mut policy)?;
         Ok(policy.take_report().expect("the profiled step builds its report"))
     }
 }
@@ -241,7 +231,13 @@ mod tests {
         let g = small_graph();
         let cfg = HmConfig::testing().with_slow_capacity(1 << 30);
         let direct = Profiler::new(cfg.clone()).profile(&g).unwrap();
-        let warmed = Profiler::new(cfg).warmup_steps(2).profile(&g).unwrap();
+        // Two unprofiled warmup steps, then the profiled one.
+        let mut exec = Executor::new(&g, MemorySystem::new(cfg));
+        let mut policy = ProfilingPolicy::new(2);
+        for _ in 0..3 {
+            exec.run_step(&mut policy).unwrap();
+        }
+        let warmed = policy.take_report().unwrap();
         assert_eq!(direct.total_page_faults(), warmed.total_page_faults());
     }
 

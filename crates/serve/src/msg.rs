@@ -431,6 +431,14 @@ mod tests {
             let err = parse(text).expect_err(text);
             assert_eq!(err.code, "bad-request", "{text}: {}", err.message);
         }
+        // A bad level names the request's field, not an env var the client
+        // never set.
+        let err = parse(r#"{"type":"run","model":{"family":"lstm","batch":8},"trace":"loud"}"#)
+            .expect_err("bad trace level");
+        assert_eq!(
+            err.message,
+            r#"bad trace level: unknown level "loud" (expected off, summary or full)"#
+        );
     }
 
     #[test]

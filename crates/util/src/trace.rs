@@ -15,7 +15,8 @@
 use crate::json::Json;
 use std::sync::{Arc, Mutex};
 
-/// How much detail to record, parsed from `SENTINEL_TRACE`.
+/// How much detail to record, parsed from `SENTINEL_TRACE` or a wire
+/// request's `trace` field.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TraceLevel {
     /// Record nothing; handles are inert.
@@ -29,7 +30,7 @@ pub enum TraceLevel {
 }
 
 impl TraceLevel {
-    /// Parse a `SENTINEL_TRACE` value.
+    /// Parse a trace level.
     ///
     /// # Errors
     ///
@@ -40,9 +41,7 @@ impl TraceLevel {
             "" | "off" | "0" => Ok(TraceLevel::Off),
             "summary" => Ok(TraceLevel::Summary),
             "full" => Ok(TraceLevel::Full),
-            other => Err(format!(
-                "SENTINEL_TRACE: unknown level {other:?} (expected off, summary or full)"
-            )),
+            other => Err(format!("unknown level {other:?} (expected off, summary or full)")),
         }
     }
 }
@@ -51,10 +50,11 @@ impl TraceLevel {
 ///
 /// # Errors
 ///
-/// Propagates the [`TraceLevel::parse`] message on a malformed value.
+/// Returns the [`TraceLevel::parse`] message, prefixed with the variable's
+/// name, on a malformed value.
 pub fn trace_env() -> Result<TraceLevel, String> {
     match std::env::var("SENTINEL_TRACE") {
-        Ok(v) => TraceLevel::parse(&v),
+        Ok(v) => TraceLevel::parse(&v).map_err(|e| format!("SENTINEL_TRACE: {e}")),
         Err(_) => Ok(TraceLevel::Off),
     }
 }
@@ -330,7 +330,8 @@ mod tests {
         assert_eq!(TraceLevel::parse(" Summary "), Ok(TraceLevel::Summary));
         assert_eq!(TraceLevel::parse("FULL"), Ok(TraceLevel::Full));
         assert_eq!(TraceLevel::parse(""), Ok(TraceLevel::Off));
-        assert!(TraceLevel::parse("verbose").is_err());
+        let err = TraceLevel::parse("verbose").unwrap_err();
+        assert!(err.starts_with("unknown level"), "{err}");
     }
 
     #[test]

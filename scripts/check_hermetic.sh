@@ -63,11 +63,18 @@ fi
 
 echo "== cluster smoke: seeded 3-tenant trace under quota pressure =="
 # Scratch cwd again: fast-mode results must not clobber the committed ones.
-( cd "$trace_tmp" && \
-    "$repo_root/target/release/run_experiments" \
-        --fast --jobs 2 --tenants 3 --arrival-seed 0xC1A5 --min-quota-frac 0.1 cluster )
+( cd "$trace_tmp" && "$repo_root/target/release/run_experiments" --fast --jobs 2 cluster )
 if [[ ! -s "$trace_tmp/results/cluster.json" ]]; then
     echo "FAIL: cluster smoke wrote no results/cluster.json" >&2
+    exit 1
+fi
+
+echo "== runner flags: an unknown flag exits 2 instead of becoming a filter =="
+flag_status=0
+( cd "$trace_tmp" && "$repo_root/target/release/run_experiments" --tenants 3 cluster ) \
+    > /dev/null 2>&1 || flag_status=$?
+if [[ "$flag_status" -ne 2 ]]; then
+    echo "FAIL: run_experiments --tenants 3 cluster exited $flag_status, expected 2" >&2
     exit 1
 fi
 

@@ -5,14 +5,10 @@
 //! * a single-job cluster is byte-identical to the plain
 //!   [`SentinelRuntime`](sentinel::core::SentinelRuntime) path (the
 //!   scheduler is transparent when there is nothing to arbitrate),
-//! * under static quotas, faults injected into tenant A never perturb one
-//!   byte of tenant B's report.
+//! * faults injected into tenant A are counted in A's report only.
 
 use sentinel::bench::{experiment_registry, ExpConfig};
-use sentinel::core::{
-    fast_sized_for, ClusterConfig, ClusterScheduler, JobSpec, QuotaPolicy, SentinelConfig,
-    SentinelRuntime,
-};
+use sentinel::core::{fast_sized_for, ClusterScheduler, JobSpec, SentinelConfig, SentinelRuntime};
 use sentinel::mem::{FaultProfile, HmConfig};
 use sentinel::models::{ModelSpec, ModelZoo};
 use sentinel::util::ToJson;
@@ -49,7 +45,7 @@ fn cluster_replay_is_byte_identical() {
         JobSpec::new("c", &graph, 90_000_000, 4).with_fault(FaultProfile::light(), 0xBEEF),
     ];
     let run = || {
-        ClusterScheduler::new(ClusterConfig::new(hm.clone()))
+        ClusterScheduler::new(hm.clone())
             .run(&jobs)
             .expect("cluster run completes")
             .to_json()
@@ -69,7 +65,7 @@ fn single_job_cluster_is_transparent() {
         let solo = SentinelRuntime::new(SentinelConfig::default(), hm.clone())
             .train(&graph, 6)
             .expect("solo run completes");
-        let outcome = ClusterScheduler::new(ClusterConfig::new(hm))
+        let outcome = ClusterScheduler::new(hm)
             .run(&[JobSpec::new("solo", &graph, 0, 6)])
             .expect("cluster run completes");
         let tenant = &outcome.tenants[0];
@@ -84,35 +80,18 @@ fn single_job_cluster_is_transparent() {
     }
 }
 
-/// Static quotas decouple tenants completely: B's serialized report is the
-/// same whether A runs clean or under heavy injected faults.
+/// Each tenant owns its memory system, so fault counters are structural:
+/// heavy faults injected into tenant A show up in A's report and never in
+/// B's. (B's timing may still move: A's faults shift A's step boundaries,
+/// and with them when the max-min quotas retarget.)
 #[test]
 fn faults_in_one_tenant_never_leak_into_another() {
     let big = ModelZoo::build(&ModelSpec::resnet(20, 4).with_scale(4)).unwrap();
     let peak = big.peak_live_bytes();
     let hm = HmConfig::optane_like().without_cache().with_fast_capacity(peak / 2);
-    let cfg = ClusterConfig::new(hm).with_quota(QuotaPolicy::StaticWeighted);
-    let run_b = |a_fault: Option<(FaultProfile, u64)>| {
-        let mut a = JobSpec::new("a", &big, 0, 5);
-        if let Some((profile, seed)) = a_fault {
-            a = a.with_fault(profile, seed);
-        }
-        let jobs = vec![a, JobSpec::new("b", &big, 0, 5)];
-        let outcome = ClusterScheduler::new(ClusterConfig::clone(&cfg))
-            .run(&jobs)
-            .expect("cluster run completes");
-        outcome.tenants[1].to_json().to_pretty_string()
-    };
-    let b_clean = run_b(None);
-    let b_beside_faulty = run_b(Some((FaultProfile::heavy(), 0xFA17)));
-    assert_eq!(
-        b_clean, b_beside_faulty,
-        "tenant B's report changed because tenant A was faulty"
-    );
-    // And A itself did record fault activity — the knob was live.
     let a = JobSpec::new("a", &big, 0, 5).with_fault(FaultProfile::heavy(), 0xFA17);
     let jobs = vec![a, JobSpec::new("b", &big, 0, 5)];
-    let outcome = ClusterScheduler::new(cfg).run(&jobs).expect("cluster run completes");
+    let outcome = ClusterScheduler::new(hm).run(&jobs).expect("cluster run completes");
     assert!(
         !outcome.tenants[0].fault.is_zero(),
         "heavy profile injected nothing into tenant A"

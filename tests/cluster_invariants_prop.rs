@@ -1,5 +1,5 @@
 //! Property-based invariants of the multi-tenant cluster scheduler:
-//! randomized arrival traces × quota policies × fault profiles, audited at
+//! randomized arrival traces × fleet sizes × fault profiles, audited at
 //! every logged event.
 //!
 //! At *every* event of every generated run:
@@ -21,10 +21,7 @@
 
 use std::sync::OnceLock;
 
-use sentinel::core::{
-    percentile_ns, ClusterConfig, ClusterEventKind, ClusterOutcome, ClusterScheduler, JobSpec,
-    QuotaPolicy,
-};
+use sentinel::core::{percentile_ns, ClusterEventKind, ClusterOutcome, ClusterScheduler, JobSpec};
 use sentinel::dnn::Graph;
 use sentinel::mem::{FaultProfile, HmConfig};
 use sentinel::models::{ModelSpec, ModelZoo};
@@ -46,10 +43,6 @@ struct Scenario {
     tenants: Vec<TenantGen>,
     /// Fleet fast capacity as a percentage of the tenants' summed peaks.
     fleet_pct: u64,
-    /// Admission floor as a percentage of a job's peak footprint.
-    min_pct: u64,
-    static_quota: bool,
-    lane_shares: bool,
 }
 
 /// The model pool, built once: graphs are immutable and shared by borrow.
@@ -86,13 +79,7 @@ fn gen_scenario(rng: &mut Rng) -> Scenario {
             }
         })
         .collect();
-    Scenario {
-        tenants,
-        fleet_pct: *rng.choose(&[12, 20, 35, 60]),
-        min_pct: *rng.choose(&[5, 10, 25]),
-        static_quota: rng.gen_bool(0.3),
-        lane_shares: rng.gen_bool(0.8),
-    }
+    Scenario { tenants, fleet_pct: *rng.choose(&[12, 20, 35, 60]) }
 }
 
 /// Shrink toward fewer tenants, fewer steps, no faults.
@@ -150,13 +137,7 @@ fn run_scenario(s: &Scenario) -> ClusterOutcome {
     let peak: u64 = jobs.iter().map(|j| j.graph.peak_live_bytes()).sum();
     let fleet_bytes = ((peak * s.fleet_pct) / 100).max(1 << 20);
     let hm = HmConfig::optane_like().without_cache().with_fast_capacity(fleet_bytes);
-    let quota =
-        if s.static_quota { QuotaPolicy::StaticWeighted } else { QuotaPolicy::WeightedMaxMin };
-    let cfg = ClusterConfig::new(hm)
-        .with_quota(quota)
-        .with_min_quota_frac(s.min_pct as f64 / 100.0)
-        .with_lane_shares(s.lane_shares);
-    ClusterScheduler::new(cfg).run(&jobs).expect("cluster run completes")
+    ClusterScheduler::new(hm).run(&jobs).expect("cluster run completes")
 }
 
 #[test]
